@@ -10,9 +10,11 @@ attempts a chosen item is executed, then steps aside forever, so a
 
 The once-per-attempt bookkeeping must survive the process boundary
 (the faulting attempt may run in a worker that is then SIGKILLed), so
-claims are sentinel files created with ``O_CREAT | O_EXCL`` in a shared
+claims are sentinel files created by :func:`claim_file` in a shared
 ``state_dir`` — atomic on every platform, and naturally shared between
-the parent, every worker, and every rebuilt pool.
+the parent, every worker, and every rebuilt pool.  The same helper takes
+the ordinal window claims of :class:`FsFaultInjector` and the shard
+state-dir locks of :mod:`repro.service.shard`.
 
 Fault kinds
 -----------
@@ -63,12 +65,12 @@ __all__ = [
     "FsFault",
     "FsFaultInjector",
     "InjectedFault",
-    "NetFault",
-    "NetFaultInjector",
+    "claim_file",
     "owner_alive",
     "owner_record",
     "pid_alive",
     "process_token",
+    "sweep_dead_owners",
     "sweep_stale_claims",
 ]
 
@@ -192,37 +194,66 @@ def owner_alive(text: str) -> bool:
     return True
 
 
-def sweep_stale_claims(state_dir) -> list[str]:
-    """Remove claim files whose claiming process is dead.
+def claim_file(path) -> bool:
+    """Atomically create ``path`` as a claim owned by this process.
 
-    Returns the removed paths.  A claim with no readable pid (created
-    before pids were recorded, or torn by a crash mid-write) is treated
-    as stale — its owner cannot be identified, and keeping it would make
-    reruns in the same ``state_dir`` non-deterministic.  Claims carry a
-    start-time token alongside the pid (see :func:`owner_record`), so a
-    recycled pid no longer makes a genuinely stale claim look live;
-    token-less legacy claims keep the plain dead-pid check.
+    An exclusive create is atomic on every platform, so of any number
+    of racing processes exactly one gets ``True``; the file records the
+    owner (:func:`owner_record`) so a claim or lock left by an abnormal
+    exit can later be recognised — even after pid reuse — and swept by
+    :func:`sweep_dead_owners`.  ``False`` means the file already exists.
+    """
+    try:
+        handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    try:
+        os.write(handle, owner_record().encode())
+    finally:
+        os.close(handle)
+    return True
+
+
+def sweep_dead_owners(paths) -> list[str]:
+    """Remove every claim/lock file in ``paths`` whose owner is dead.
+
+    Returns the removed paths.  A record with no readable pid (written
+    before pids were recorded, or torn by a crash mid-write) counts as
+    dead — its owner cannot be identified — and so does a live pid whose
+    start-time token no longer matches (see :func:`owner_alive`).
+    Non-files and files that cannot be read are left alone.
     """
     removed: list[str] = []
-    try:
-        names = sorted(os.listdir(state_dir))
-    except FileNotFoundError:
-        return removed
-    for name in names:
-        path = os.path.join(state_dir, name)
+    for path in map(str, paths):
         if not os.path.isfile(path):
             continue
         try:
-            text = open(path).read().strip()
+            with open(path) as handle:
+                text = handle.read().strip()
         except OSError:
             continue
-        if not owner_alive(text):
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                continue
-            removed.append(path)
+        if owner_alive(text):
+            continue
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            continue
+        removed.append(path)
     return removed
+
+
+def sweep_stale_claims(state_dir) -> list[str]:
+    """Remove the claim files under ``state_dir`` whose claimer is dead.
+
+    Keeping them would make reruns in the same ``state_dir``
+    non-deterministic (every fault would look already fired); see
+    :func:`sweep_dead_owners` for what counts as dead.
+    """
+    try:
+        names = sorted(os.listdir(state_dir))
+    except FileNotFoundError:
+        return []
+    return sweep_dead_owners(os.path.join(state_dir, name) for name in names)
 
 
 class FaultInjector:
@@ -251,26 +282,12 @@ class FaultInjector:
         return sweep_stale_claims(self.state_dir)
 
     def _claim(self, digest: str, fault: Fault) -> bool:
-        """Atomically claim one of the fault's ``times`` firings.
-
-        The claim file records the claiming pid plus its start-time
-        token (:func:`owner_record`) so an abnormal exit can later be
-        recognized (and swept) by :func:`sweep_stale_claims` even if
-        the pid has been recycled.
-        """
+        """Atomically claim one of the fault's ``times`` firings."""
         os.makedirs(self.state_dir, exist_ok=True)
-        for attempt in range(fault.times):
-            path = os.path.join(self.state_dir, f"{digest}.{attempt}")
-            try:
-                handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                continue
-            try:
-                os.write(handle, owner_record().encode())
-            finally:
-                os.close(handle)
-            return True
-        return False
+        return any(
+            claim_file(os.path.join(self.state_dir, f"{digest}.{attempt}"))
+            for attempt in range(fault.times)
+        )
 
     def __call__(self, item):
         digest = _item_digest(item)
@@ -290,16 +307,18 @@ class FaultInjector:
         return self.fn(item)
 
 
-# -- filesystem fault injection --------------------------------------------
+# -- ordinal window fault injection ----------------------------------------
 
 
 @dataclass(frozen=True)
 class FsFault:
-    """One disk-fault window: ``count`` consecutive failing operations.
+    """One fault window: ``count`` consecutive failing operations.
 
     ``errno_code`` is the ``errno`` value carried by the injected
     :class:`OSError` — ``ENOSPC`` (disk full) by default; ``EIO`` and
-    ``EROFS`` model media errors and a remounted-read-only filesystem.
+    ``EROFS`` model media errors and a remounted-read-only filesystem,
+    ``ECONNRESET`` a dropped replication connection (``OSError``
+    constructs a :class:`ConnectionResetError` for it).
     """
 
     errno_code: int = errno.ENOSPC
@@ -315,21 +334,23 @@ class FsFault:
 
 
 class FsFaultInjector:
-    """Deterministic disk faults for the durability layer's write path.
+    """Deterministic ``OSError`` windows over a stream of operations.
 
     The WAL/snapshot/ledger writers consult :meth:`check` immediately
-    before each physical operation (append, publish, reset, probe).
-    Every call advances a global 1-based operation ordinal; when the
-    ordinal hits a key of ``faults``, a **down window** opens and that
-    operation — plus the next ``count - 1`` checks — raises ``OSError``
-    with the fault's errno, after which the disk "heals" and checks pass
+    before each physical operation (append, publish, reset, probe), and
+    the remote replica target before each channel operation (``connect``,
+    then one ``send`` per op in an exchange).  Every call advances a
+    global 1-based operation ordinal; when the ordinal hits a key of
+    ``faults``, a **down window** opens and that operation — plus the
+    next ``count - 1`` checks — raises ``OSError`` with the fault's
+    errno, after which the disk or channel "heals" and checks pass
     again.  Ordinals make schedules reproducible without wall clocks,
     the same way :class:`FaultInjector` keys kills to task items.
 
-    Window activation goes through the same ``O_CREAT | O_EXCL`` claim
-    files as the task injector (one claim per window, under
-    ``state_dir``), so a rerun over the same state directory — the soak
-    harness's recovery cycle — sees each window fire exactly once.
+    Window activation goes through :func:`claim_file` (one claim per
+    window, under ``state_dir``), so a rerun over the same state
+    directory — a recovery cycle, or a retried replication exchange —
+    sees each window fire exactly once.
 
     The ordinal counter is in-process state: share ONE injector across
     the sessions of one service (``AdvisorService(fs=...)`` does) so
@@ -352,23 +373,14 @@ class FsFaultInjector:
 
     def _claim(self, ordinal: int) -> bool:
         os.makedirs(self.state_dir, exist_ok=True)
-        path = os.path.join(self.state_dir, f"fs.{ordinal}")
-        try:
-            handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        try:
-            os.write(handle, owner_record().encode())
-        finally:
-            os.close(handle)
-        return True
+        return claim_file(os.path.join(self.state_dir, f"fs.{ordinal}"))
 
-    def check(self, op: str, path) -> None:
-        """Count one disk operation; raise if it falls in a down window.
+    def check(self, op: str, path=None) -> None:
+        """Count one operation; raise if it falls in a down window.
 
         ``op`` and ``path`` only label the injected error — scheduling
         is purely ordinal, so a test can place a window without knowing
-        which file the Nth operation happens to touch.
+        which file or exchange the Nth operation happens to touch.
         """
         self.ops += 1
         fault = self.faults.get(self.ops)
@@ -378,73 +390,8 @@ class FsFaultInjector:
             if self.ops < until:
                 self.raised += 1
                 name = errno.errorcode.get(code, str(code))
-                raise OSError(code, f"injected {name} during {op}", str(path))
+                message = f"injected {name} during {op}"
+                if path is None:
+                    raise OSError(code, message)
+                raise OSError(code, message, str(path))
         self._windows = [window for window in self._windows if self.ops < window[0]]
-
-
-# -- network fault injection ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NetFault:
-    """One network-fault window: ``count`` consecutive dropped operations."""
-
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InvalidParameterError(f"fault count must be >= 1, got {self.count}")
-
-
-class NetFaultInjector:
-    """Deterministic connection drops for the replication channel.
-
-    The remote replica target consults :meth:`check` before each channel
-    operation (``connect``, then one ``send`` per op in an exchange).
-    Scheduling mirrors :class:`FsFaultInjector` exactly — a global
-    1-based ordinal, down windows of ``count`` consecutive failures, and
-    ``O_CREAT | O_EXCL`` claim files so a retried exchange over the same
-    state directory sees each window fire exactly once — but the injected
-    error is :class:`ConnectionResetError`, which the shipping loop
-    counts and retries (every replication op is idempotent) rather than
-    treating as a durability fault.
-    """
-
-    def __init__(self, faults: dict[int, NetFault], state_dir) -> None:
-        self.faults = {}
-        for ordinal, fault in faults.items():
-            ordinal = int(ordinal)
-            if ordinal < 1:
-                raise InvalidParameterError(
-                    f"fault ordinals are 1-based, got {ordinal}"
-                )
-            self.faults[ordinal] = fault
-        self.state_dir = str(state_dir)
-        self.ops = 0
-        self.raised = 0
-        self._windows: list[int] = []  # first op past each window
-
-    def _claim(self, ordinal: int) -> bool:
-        os.makedirs(self.state_dir, exist_ok=True)
-        path = os.path.join(self.state_dir, f"net.{ordinal}")
-        try:
-            handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        try:
-            os.write(handle, owner_record().encode())
-        finally:
-            os.close(handle)
-        return True
-
-    def check(self, op: str) -> None:
-        """Count one channel operation; drop it if in a down window."""
-        self.ops += 1
-        fault = self.faults.get(self.ops)
-        if fault is not None and self._claim(self.ops):
-            self._windows.append(self.ops + fault.count)
-        for until in self._windows:
-            if self.ops < until:
-                self.raised += 1
-                raise ConnectionResetError(f"injected connection drop during {op}")
-        self._windows = [until for until in self._windows if self.ops < until]

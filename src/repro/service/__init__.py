@@ -17,8 +17,9 @@ The deployed face of the paper's algorithms: per-vehicle
   enforcement through the :mod:`repro.validation` policies, and a
   bounded queue with shed-and-count backpressure
   (:mod:`repro.service.advisor`);
-* **a chaos harness** — kill/restart soak runs that pin cost parity
-  with the uninterrupted run (:mod:`repro.service.soak`);
+* **a chaos harness** — a grid of tier x fault cells, each pinned to
+  cost and digest parity with one uninterrupted run
+  (:mod:`repro.service.soak`);
 * **horizontal scale** — consistent-hash sharding across worker
   processes with at-least-once redelivery and bit-identical shard
   recovery (:mod:`repro.service.shard`), fronted by a JSONL

@@ -313,8 +313,9 @@ class RemoteReplicaTarget:
     watermarks only when the trailing ``commit`` op lands, so a dropped
     connection leaves data-without-watermark (re-shipped harmlessly next
     pass), never watermark-without-data.  ``net`` is an optional
-    :class:`~repro.engine.faults.NetFaultInjector` hooked at ``connect``
-    and before every ``send``.
+    :class:`~repro.engine.faults.FsFaultInjector` hooked at ``connect``
+    and before every ``send``; its ``ECONNRESET`` windows drop the
+    connection.
     """
 
     def __init__(self, address: str, *, net=None, timeout: float = 30.0) -> None:

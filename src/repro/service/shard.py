@@ -38,10 +38,10 @@ between respawns) trips a circuit breaker — it stays down and its
 traffic is shed with count instead of burning respawns forever.
 
 Each worker guards its state directory with a ``shard.lock`` file
-recording its pid plus a ``/proc`` start-time token (``O_CREAT |
-O_EXCL`` — the same owner discipline as :mod:`repro.engine.faults`
-claim files, immune to pid reuse).  A stale lock left by a
-SIGKILLed worker is swept automatically on the next acquire, and
+recording its pid plus a ``/proc`` start-time token, taken with
+:func:`repro.engine.faults.claim_file` — the same owner discipline as
+the fault-injection claim files, immune to pid reuse.  A stale lock
+left by a SIGKILLed worker is swept automatically on the next acquire, and
 ``repro-idling cache doctor --fault-claims DIR`` sweeps them explicitly
 via :func:`sweep_stale_shard_locks`.
 
@@ -187,39 +187,28 @@ def _lock_record(path) -> str:
 def acquire_shard_lock(state_dir: str | Path) -> Path:
     """Take exclusive ownership of a shard state directory.
 
-    The lock file records the owning pid plus its start-time token
-    (``O_CREAT | O_EXCL`` — atomic everywhere; see
-    :func:`repro.engine.faults.owner_record`).  A lock whose owner is
-    **dead** — dead pid, unreadable record, or a live pid whose token
-    mismatches (the pid was recycled by an unrelated process) — is
+    The lock is a claim file (:func:`repro.engine.faults.claim_file`)
+    recording the owning pid plus its start-time token.  A lock whose
+    owner is **dead** — dead pid, unreadable record, or a live pid whose
+    token mismatches (the pid was recycled by an unrelated process) — is
     swept and re-acquired; a lock held by a live owner raises
     :class:`ShardLockError` — two workers must never share a WAL.
     """
-    from ..engine.faults import owner_alive, owner_record
+    from ..engine.faults import claim_file, owner_alive
 
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     path = state_dir / SHARD_LOCK_NAME
     for _attempt in range(3):
-        try:
-            handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            record = _lock_record(path)
-            if owner_alive(record):
-                raise ShardLockError(
-                    f"shard state dir {state_dir} is locked by live pid "
-                    f"{record.split()[0]}"
-                )
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-            continue
-        try:
-            os.write(handle, owner_record().encode())
-        finally:
-            os.close(handle)
-        return path
+        if claim_file(path):
+            return path
+        record = _lock_record(path)
+        if owner_alive(record):
+            raise ShardLockError(
+                f"shard state dir {state_dir} is locked by live pid "
+                f"{record.split()[0]}"
+            )
+        release_shard_lock(path)
     raise ShardLockError(f"could not acquire shard lock {path}")
 
 
@@ -232,38 +221,26 @@ def release_shard_lock(path: str | Path) -> None:
 
 
 def sweep_stale_shard_locks(root: str | Path) -> list[str]:
-    """Remove ``shard.lock`` files (recursively) whose owner pid is dead.
+    """Remove ``shard.lock`` files (recursively) whose owner is dead.
 
     The shard-lock counterpart of
-    :func:`repro.engine.faults.sweep_stale_claims`: a SIGKILLed worker
+    :func:`repro.engine.faults.sweep_stale_claims`, through the same
+    :func:`~repro.engine.faults.sweep_dead_owners`: a SIGKILLed worker
     leaves its lock behind, and while a *running*
     :class:`ShardedAdvisorService` sweeps it automatically on respawn,
     an operator restarting a torn-down fleet wants the explicit
     doctor-style cleanup (``cache doctor --fault-claims DIR`` runs
-    both sweeps).  Locks held by live owners are kept; a live pid
-    whose start-time token mismatches the record is a recycled pid —
-    stale, swept.
+    both sweeps).
     """
-    from ..engine.faults import owner_alive
+    from ..engine.faults import sweep_dead_owners
 
-    removed: list[str] = []
     root = Path(root)
     if not root.exists():
-        return removed
+        return []
     candidates = sorted(root.rglob(SHARD_LOCK_NAME))
-    if root.name == SHARD_LOCK_NAME and root.is_file():
+    if root.name == SHARD_LOCK_NAME:
         candidates.insert(0, root)
-    for path in candidates:
-        if not path.is_file():
-            continue
-        if owner_alive(_lock_record(path)):
-            continue
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            continue
-        removed.append(str(path))
-    return removed
+    return sweep_dead_owners(candidates)
 
 
 # -- worker process --------------------------------------------------------

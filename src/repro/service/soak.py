@@ -1,31 +1,56 @@
-"""Deterministic soak/chaos harness for the advisor service.
+"""Deterministic chaos grid for the advisor service.
 
-The durability contract — "a SIGKILL at any instant loses nothing" —
-is only worth stating if something kills the service mid-stream and
-checks the books afterwards.  This harness does exactly that:
+The paper's guarantees (DET <= 2, N-Rand e/(e-1)) hold for the deployed
+stack only if every decision and per-vehicle ``state_digest()`` survives
+the failures the stack claims to survive.  This harness checks that on
+one table of scenario cells (:data:`CELLS`), each a serving tier x a
+fault kind, against one parity gate:
 
 1. synthesize an NREL-shaped fleet event stream
    (:func:`build_fleet_events` — the same generator the experiments
    use, interleaved into one timestamped multi-vehicle feed);
 2. run it **uninterrupted** through an :class:`AdvisorService` into a
-   clean state directory (the reference);
-3. run the same stream through kill/restart cycles: a child process
-   serves the stream and is SIGKILLed at injected event indices
-   (reusing :class:`repro.engine.faults.FaultInjector`, whose
-   cross-process claim files make each kill fire exactly once across
-   restarts), then a fresh child recovers from the state directory and
-   replays the stream from the top — duplicate delivery is the
-   *normal* case here, exercising idempotent ingestion for free;
-4. assert the chaos run's realized fleet cost and per-vehicle state
-   digests are **bit-identical** to the uninterrupted run.
+   clean state directory — the one reference every cell is gated on;
+3. run each requested cell (:func:`run_cell`): it places its faults on
+   the stream *before* it builds anything, refusing a stream too short
+   to hold them, serves the stream through its tier while they fire,
+   and raises unless its own invariant held;
+4. require the cell's fleet cost and per-vehicle digests to be
+   **bit-identical** to the clean run's (:func:`parity_mismatches`).
 
-Run it directly (the CI ``service-chaos`` job does)::
+==================== ======= =====================================================
+cell                 tier    fault, and the invariant the cell checks
+==================== ======= =====================================================
+process-kill         process SIGKILL the serving child at 3 event indices; each
+                             restart recovers from the state dir and redelivers
+                             the whole stream.  Restarts == kills.
+process-kill-batch   process the same through 16-event columnar chunks, so kills
+                             tear group commits.  Restarts == kills.
+disk                 process 2 ``ENOSPC`` windows over the WAL, snapshot and
+                             ledger writes.  At least one suspension, then a
+                             clean heal: no suspended session, no drop.
+worker-kill          shards  SIGKILL a live worker (round-robin) before 2
+                             chunks.  Restarts == kills.
+worker-hang          shards  SIGSTOP the worker owning a chunk before 2 chunks.
+                             Detected hangs == frozen workers.
+poison               shards  one line that SIGKILLs any worker touching it.  The
+                             quarantine sidecar holds exactly that line.
+primary-kill         replica SIGKILL a registered primary mid-stream while a
+                             shipping loop feeds a standby; promote it (fenced),
+                             finish by redelivery, then backup -> restore ->
+                             doctor -> promote.  The kill fires, frames ship
+                             before it, and the restored digests equal the
+                             final ones.
+==================== ======= =====================================================
 
-    python -m repro.service.soak --vehicles 4 --stops 80 --kills 3 \
-        --seed 7 --out results/soak
+Run it directly (each CI ``service-chaos`` matrix entry runs one cell)::
 
-Exit status 0 means parity held; the state directories, WALs and the
-chaos ledger are left under ``--out`` for post-mortems.
+    python -m repro.service.soak --scenario process-kill worker-hang \
+        --vehicles 4 --stops 40 --out results/soak
+
+Exit status 0 means every cell held its invariant and its parity; the
+clean run and each cell's state directories, WALs, ledger and
+``summary.json`` are left under ``--out`` for post-mortems.
 """
 
 from __future__ import annotations
@@ -33,31 +58,89 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
+import shutil
+import signal
 import sys
-from dataclasses import asdict
+import time
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..engine.faults import Fault, FaultInjector
-from ..engine.ledger import RunLedger, read_ledger, use_ledger
+from ..engine.faults import Fault, FaultInjector, FsFault, FsFaultInjector
+from ..engine.ledger import RunLedger, use_ledger
+from ..errors import InvalidParameterError
 from ..fleet import area_config
 from ..fleet.generator import FleetGenerator
 from .advisor import AdvisorService, RegisteredAdvisorService
+from .replica import (
+    LocalReplicaTarget,
+    backup,
+    fleet_doctor,
+    promote,
+    restore,
+    sync_once,
+)
 from .session import SessionConfig
+from .shard import (
+    POISON_SIDECAR_NAME,
+    ShardedAdvisorService,
+    acquire_shard_lock,
+    release_shard_lock,
+)
 
 __all__ = [
-    "build_fleet_events",
-    "run_stream",
-    "run_chaos",
-    "run_sharded_chaos",
-    "run_hang_chaos",
-    "run_poison_chaos",
-    "run_disk_fault_chaos",
-    "run_replica_chaos",
+    "CELLS",
+    "Cell",
     "SoakResult",
+    "build_fleet_events",
     "main",
+    "parity_mismatches",
+    "run_cell",
+    "run_stream",
 ]
+
+#: Shard-tier fleet size and the events per submitted chunk.
+SHARDS = 2
+SHARD_CHUNK = 8
+#: Worker silence (s) the worker-hang cell's supervisor tolerates.
+HANG_TIMEOUT = 2.0
+#: Crashes a chunk may cause before the poison cell's supervisor
+#: quarantines it.
+POISON_BUDGET = 3
+POISON_LINE = json.dumps(
+    {"id": "poison-0", "vehicle": "poison-pill", "t": -1.0, "stop": 1.0},
+    sort_keys=True,
+)
+#: Consecutive failing disk operations per injected ``ENOSPC`` window.
+DISK_WINDOW = 3
+#: Primary-kill pacing: the standby's shipping interval and the
+#: primary's per-event delay, so frames stream mid-run instead of
+#: racing a microsecond burst.
+SYNC_INTERVAL = 0.01
+PRIMARY_EVENT_DELAY = 0.005
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One scenario: a serving tier, a fault kind and its fault count."""
+
+    tier: str  # "process", "shards" or "replica"
+    fault: str  # "kill", "disk", "hang" or "poison"
+    count: int  # faults the stream must hold
+    batch: int = 1  # process tier: columnar chunk size (1 = scalar ingest)
+
+
+CELLS = {
+    "process-kill": Cell("process", "kill", 3),
+    "process-kill-batch": Cell("process", "kill", 3, batch=16),
+    "disk": Cell("process", "disk", 2),
+    "worker-kill": Cell("shards", "kill", 2),
+    "worker-hang": Cell("shards", "hang", 2),
+    "poison": Cell("shards", "poison", 1),
+    "primary-kill": Cell("replica", "kill", 1),
+}
 
 
 def build_fleet_events(
@@ -122,14 +205,15 @@ def run_stream(
     consulted per event index (before the chunk applies), so a kill can
     land mid-plan and tear a group-commit.  ``fs`` is an optional
     :class:`repro.engine.faults.FsFaultInjector` threaded into the
-    service's WAL/snapshot writers — the disk-fault chaos hook.
+    service's WAL/snapshot writers and the run ledger — the disk-fault
+    chaos hook.
     ``register=True`` serves through a
     :class:`~repro.service.advisor.RegisteredAdvisorService` so the
     state dir carries a vehicle registry — required for a state dir that
     a standby may later have to promote without redelivery.
     """
     ledger = (
-        RunLedger(ledger_path, append=True) if ledger_path is not None else None
+        RunLedger(ledger_path, append=True, fs=fs) if ledger_path is not None else None
     )
     service_cls = RegisteredAdvisorService if register else AdvisorService
     service = service_cls(Path(state_dir), config, policy=policy, fs=fs)
@@ -166,605 +250,357 @@ def _serve(
         service.process_batch(chunk)
 
 
-def _chaos_child(
-    events, state_dir, config, policy, injector, ledger_path, out_path, batch
-):
-    """Child-process entry: serve the stream, persist the result."""
-    result = run_stream(
-        events,
-        state_dir,
-        config,
-        policy=policy,
-        injector=injector,
-        ledger_path=ledger_path,
-        batch=batch,
-    )
-    Path(out_path).write_text(json.dumps(result, sort_keys=True))
+def _spread(count: int, room: int, what: str) -> list[int]:
+    """``count`` distinct, evenly spread slots in ``1..room``.
 
-
-def run_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    kill_points: list[int],
-    *,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-    batch: int = 1,
-) -> tuple[SoakResult, int]:
-    """Kill/restart the service through ``kill_points``; returns the
-    final completed run's result and the number of restarts taken.
-
-    The kill injector is constructed in *this* (parent) process so the
-    child's pid differs from the creator's and the ``"kill"`` fault
-    delivers a real SIGKILL (see :mod:`repro.engine.faults`); its claim
-    files live under the state directory, so each kill fires exactly
-    once across the whole cycle — do **not** sweep stale claims between
-    restarts, the dead-pid claims are the record of kills already fired.
+    A stream too short to hold them is refused: a cell that quietly
+    fired fewer faults than configured would still pass its checks.
     """
-    state_dir = Path(state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    injector = FaultInjector(
-        _noop,
-        {index: Fault("kill") for index in kill_points},
-        state_dir / "kill-claims",
-    )
-    out_path = state_dir / "result.json"
-    context = multiprocessing.get_context("spawn")
-    restarts = -1
-    for _attempt in range(len(kill_points) + 2):
-        restarts += 1
-        child = context.Process(
-            target=_chaos_child,
-            args=(
-                events,
-                state_dir,
-                config,
-                policy,
-                injector,
-                ledger_path,
-                out_path,
-                batch,
-            ),
+    if count > room:
+        raise InvalidParameterError(
+            f"the stream has room for {max(room, 0)} {what}, the cell needs "
+            f"{count}; use a longer stream"
         )
-        child.start()
-        child.join()
-        if child.exitcode == 0:
-            return SoakResult(json.loads(out_path.read_text())), restarts
-        if child.exitcode >= 0:
-            raise RuntimeError(f"chaos child failed with exit code {child.exitcode}")
-    raise RuntimeError(
-        f"service did not complete within {len(kill_points) + 2} restarts"
-    )
+    return [1 + ((2 * index + 1) * room) // (2 * count) for index in range(count)]
 
 
-def _replica_primary_child(
-    events, state_dir, config, policy, injector, out_path, event_delay
+def _spawn(*args) -> multiprocessing.Process:
+    child = multiprocessing.get_context("spawn").Process(target=_child, args=args)
+    child.start()
+    return child
+
+
+def _child(
+    events, state_dir, config, injector, result_path, batch, ledger_path, primary
 ):
-    """Primary-side child for :func:`run_replica_chaos`: serve with a
-    vehicle registry (a promotable primary) until the injected SIGKILL.
+    """Child-process entry: serve the stream under ``injector``, persist the result.
 
-    The child holds the state dir's ``shard.lock`` like a real primary
-    would, so the later ``promote --fence`` run exercises the owner-token
-    fencing for real: the SIGKILL leaves the lock file behind with a
-    dead owner record, which promotion must recognize as stale (a live
-    record would — correctly — refuse the promotion as split-brain).
-
-    ``event_delay`` paces the stream so the parent's shipping loop
-    genuinely streams mid-run instead of racing a microsecond burst —
-    without it the standby would usually see zero frames before the kill.
+    The kill injector is built in the parent, so the child's pid differs
+    from its creator's and a ``"kill"`` fault delivers a real SIGKILL
+    (see :mod:`repro.engine.faults`).  A replica-tier ``primary`` holds
+    its state dir's ``shard.lock`` like a real primary — the SIGKILL
+    leaves it behind with a dead owner, which ``promote --fence`` must
+    recognise as stale — keeps a vehicle registry so a standby can
+    promote it, and paces the stream by :data:`PRIMARY_EVENT_DELAY`.
     """
-    import time
+    hook, lock = injector, None
+    if primary:
+        lock = acquire_shard_lock(state_dir)
 
-    from .shard import acquire_shard_lock, release_shard_lock
+        def hook(index):
+            time.sleep(PRIMARY_EVENT_DELAY)
+            injector(index)
 
-    def paced(index):
-        if event_delay:
-            time.sleep(event_delay)
-        injector(index)
-
-    lock = acquire_shard_lock(Path(state_dir))
     try:
         result = run_stream(
-            events, state_dir, config, policy=policy, injector=paced, register=True
+            events,
+            state_dir,
+            config,
+            injector=hook,
+            ledger_path=ledger_path,
+            batch=batch,
+            register=primary,
         )
     finally:
-        release_shard_lock(lock)
-    Path(out_path).write_text(json.dumps(result, sort_keys=True))
+        if lock is not None:
+            release_shard_lock(lock)
+    Path(result_path).write_text(json.dumps(result, sort_keys=True))
 
 
-def run_replica_chaos(
-    events: list[dict],
-    out_dir: str | Path,
-    config: SessionConfig,
-    *,
-    kill_point: int,
-    policy: str = "repair",
-    sync_interval: float = 0.01,
-    event_delay: float = 0.005,
-) -> dict:
-    """The disaster-recovery drill: lose the primary, promote, verify.
+def _kill_injector(points: list[int], out_dir: Path) -> FaultInjector:
+    # Claims live under the cell's directory, so each kill fires exactly
+    # once across the restarts; a dead-pid claim is the record of a kill
+    # already fired and must not be swept between them.
+    return FaultInjector(
+        _noop, {index: Fault("kill") for index in points}, out_dir / "claims"
+    )
 
-    A child process serves the stream into ``out_dir/primary`` as a
-    registered (promotable) service and is SIGKILLed at ``kill_point``;
-    meanwhile this process ships WAL frames and snapshots to
-    ``out_dir/standby`` every ``sync_interval`` seconds — but **only
-    while the child is alive**.  The primary's disk is never read after
-    the kill: that is the machine-loss story, and the standby holds only
-    what was shipped in time.
 
-    Recovery then follows the operator runbook end to end: ``promote``
-    the standby (fencing against the dead primary's ``shard.lock``),
-    finish the stream by full redelivery (idempotent ingestion absorbs
-    everything already applied), and round-trip the result through
-    ``backup`` → ``restore`` → ``fleet_doctor`` → ``promote`` to prove
-    the cold-archive path lands on the same digests.  The caller
-    parity-checks the returned ``final`` result against a clean run.
+def _process_tier(cell: Cell, events, out_dir: Path, config) -> dict:
+    ledger = out_dir / "ledger.jsonl"
+    if cell.fault == "disk":
+        # One WAL append per event dominates the op schedule; keeping
+        # every window inside its first half leaves the probe backoff
+        # events to spare to heal before the stream ends.
+        room = len(events) // 2 // (DISK_WINDOW + 1)
+        slots = _spread(cell.count, room, "disk windows")
+        ordinals = [slot * (DISK_WINDOW + 1) for slot in slots]
+        fs = FsFaultInjector(
+            {ordinal: FsFault(count=DISK_WINDOW) for ordinal in ordinals},
+            out_dir / "claims",
+        )
+        result = run_stream(
+            events,
+            out_dir / "state",
+            config,
+            ledger_path=ledger,
+            batch=cell.batch,
+            fs=fs,
+        )
+        durability = result["snapshot"]["durability"]
+        if durability["suspensions"] < 1:
+            raise RuntimeError(
+                f"no injected disk fault suspended durability ({fs.raised} raised)"
+            )
+        if durability["suspended_sessions"] or durability["dropped_events"]:
+            raise RuntimeError(f"durability did not heal cleanly: {durability}")
+        return {
+            **result,
+            "windows": ordinals,
+            "raised": fs.raised,
+            "suspensions": durability["suspensions"],
+        }
+    points = _spread(cell.count, len(events) - 1, "kill points")
+    injector = _kill_injector(points, out_dir)
+    result_path = out_dir / "result.json"
+    for restarts in range(cell.count + 1):
+        child = _spawn(
+            events,
+            out_dir / "state",
+            config,
+            injector,
+            result_path,
+            cell.batch,
+            ledger,
+            False,
+        )
+        child.join()
+        if child.exitcode == 0:
+            break
+        if child.exitcode > 0:
+            raise RuntimeError(f"serving child failed with exit code {child.exitcode}")
+    else:
+        raise RuntimeError(
+            f"the service died {cell.count + 1} times for {cell.count} kill(s)"
+        )
+    if restarts != cell.count:
+        raise RuntimeError(f"{restarts} of {cell.count} kill(s) at {points} fired")
+    result = json.loads(result_path.read_text())
+    return {**result, "kill_points": points, "restarts": restarts}
+
+
+def _await(done, what: str, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not done():
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"{what} did not happen within {timeout:.0f} s")
+        time.sleep(0.02)
+
+
+def _live_pid(service, shard: int) -> int:
+    pid = service.worker_pids[shard]
+    if pid is None:
+        raise RuntimeError(f"shard {shard} has no live worker to fault")
+    return pid
+
+
+def _kill_worker(service, chunk, nth: int) -> None:
+    """SIGKILL a live worker, round-robin over shards, and wait for the
+    respawn so consecutive kills cannot collapse into one observed death."""
+    victim = nth % SHARDS
+    baseline = service.restarts[victim]
+    os.kill(_live_pid(service, victim), signal.SIGKILL)
+    _await(lambda: service.restarts[victim] > baseline, f"shard {victim} respawn")
+
+
+def _freeze_worker(service, chunk, nth: int) -> None:
+    """SIGSTOP the worker owning the chunk's first vehicle, just before
+    the chunk parks in-flight work on it.
+
+    The fleet settles first: hang detection only arms once a worker has
+    spoken since its last spawn, so a frozen booting worker would be
+    excused forever.  The freeze must precede the submit — a worker
+    frozen after acking everything is idle, and idle silence is not a
+    hang.  Detection, SIGKILL, respawn and redelivery finish inside the
+    next drain.
     """
-    import time
+    service.drain(timeout=300.0)
+    os.kill(_live_pid(service, service.route(chunk[0]["vehicle"])), signal.SIGSTOP)
 
-    from .replica import (
-        LocalReplicaTarget,
-        backup,
-        fleet_doctor,
-        promote,
-        restore,
-        sync_once,
-    )
 
-    out_dir = Path(out_dir)
-    primary_dir = out_dir / "primary"
-    standby_dir = out_dir / "standby"
-    primary_dir.mkdir(parents=True, exist_ok=True)
-    injector = FaultInjector(
-        _noop, {kill_point: Fault("kill")}, primary_dir / "kill-claims"
+def _poison(service, chunk, nth: int) -> None:
+    """Submit the poison line on a drained fleet — it must be the sole
+    head of its shard's queue for crash attribution — and wait for its
+    quarantine."""
+    service.drain(timeout=300.0)
+    service.submit_lines([POISON_LINE])
+    _await(lambda: service.quarantined_chunks > nth, "poison quarantine", 120.0)
+
+
+#: Per shard-tier fault: the hook run before a fault slot's chunk, and
+#: the routing counter that must end equal to the cell's fault count.
+_SHARD_FAULTS = {
+    "kill": (_kill_worker, "restarts"),
+    "hang": (_freeze_worker, "hangs"),
+    "poison": (_poison, "quarantined_chunks"),
+}
+
+
+def _shard_tier(cell: Cell, events, out_dir: Path, config) -> dict:
+    chunks = [
+        events[start : start + SHARD_CHUNK]
+        for start in range(0, len(events), SHARD_CHUNK)
+    ]
+    slots = _spread(cell.count, len(chunks) - 1, f"{SHARD_CHUNK}-event chunk slots")
+    knobs: dict = {}
+    if cell.fault == "hang":
+        knobs["hang_timeout"] = HANG_TIMEOUT
+    if cell.fault == "poison":
+        # Every redelivery burns one claim and the quarantine decision is
+        # made parent-side: the line must keep killing until quarantined.
+        knobs["injector"] = FaultInjector(
+            _noop,
+            {POISON_LINE: Fault("kill", times=4 * POISON_BUDGET * cell.count)},
+            out_dir / "claims",
+        )
+        knobs["poison_budget"] = POISON_BUDGET
+    inject, counter = _SHARD_FAULTS[cell.fault]
+    service = ShardedAdvisorService(
+        out_dir / "state",
+        config,
+        shards=SHARDS,
+        ledger_path=out_dir / "ledger.jsonl",
+        **knobs,
     )
-    result_path = out_dir / "primary-result.json"
-    context = multiprocessing.get_context("spawn")
-    child = context.Process(
-        target=_replica_primary_child,
-        args=(
-            events, primary_dir, config, policy, injector, result_path,
-            event_delay,
-        ),
+    try:
+        for index, chunk in enumerate(chunks):
+            if index in slots:
+                inject(service, chunk, slots.index(index))
+            service.submit_lines([json.dumps(record) for record in chunk])
+        service.drain(timeout=300.0)
+        digests = service.digests(timeout=120.0)
+        snapshot = service.health_snapshot(timeout=120.0)
+    finally:
+        service.close()
+    observed = snapshot["routing"][counter]
+    if observed != cell.count:
+        raise RuntimeError(
+            f"{cell.count} {cell.fault} fault(s) injected at chunks {slots}, "
+            f"supervisor counted {observed} {counter}"
+        )
+    outcome = {
+        "fleet_cost": snapshot["fleet_cost"],
+        "digests": digests,
+        "snapshot": snapshot,
+        "slots": slots,
+        "restarts": list(service.restarts),
+        "hangs": list(service.hangs),
+    }
+    if cell.fault == "poison":
+        sidecar = (out_dir / "state" / POISON_SIDECAR_NAME).read_text()
+        records = [json.loads(line) for line in sidecar.splitlines() if line.strip()]
+        if [record["lines"] for record in records] != [[POISON_LINE]] * cell.count:
+            raise RuntimeError(f"unexpected quarantine sidecar contents: {records}")
+        outcome["quarantine"] = records
+    return outcome
+
+
+def _replica_tier(cell: Cell, events, out_dir: Path, config) -> dict:
+    points = _spread(cell.count, len(events) - 1, "kill points")
+    primary, standby = out_dir / "primary", out_dir / "standby"
+    injector = _kill_injector(points, out_dir)
+    child = _spawn(
+        events, primary, config, injector, out_dir / "result.json", 1, None, True
     )
-    child.start()
-    target = LocalReplicaTarget(standby_dir)
-    sync_passes = 0
-    frames_shipped = 0
+    # Ship only while the primary lives: its disk is never read after
+    # the kill (the machine-loss story), so the standby holds only what
+    # was shipped in time.
+    target = LocalReplicaTarget(standby)
+    sync_passes = frames_shipped = 0
     while child.is_alive():
-        stats = sync_once(primary_dir, target)
+        frames_shipped += sync_once(primary, target)["frames"]
         sync_passes += 1
-        frames_shipped += stats["frames"]
-        time.sleep(sync_interval)
+        time.sleep(SYNC_INTERVAL)
     child.join()
     if child.exitcode == 0:
         raise RuntimeError(
-            f"primary finished the stream without dying — kill point "
-            f"{kill_point} never fired"
+            f"the primary finished the stream: kill at {points} never fired"
         )
-    if sync_passes == 0 or frames_shipped == 0:
-        raise RuntimeError(
-            "standby never caught a frame before the primary died — "
-            "kill point too early for this sync interval"
-        )
+    if frames_shipped == 0:
+        raise RuntimeError("the standby caught no frame before the primary died")
 
-    promoted = promote(standby_dir, config, fence=primary_dir, policy=policy)
-    final = run_stream(events, standby_dir, config, policy=policy, register=True)
-
-    archive_dir = out_dir / "archive"
-    restored_dir = out_dir / "restored"
-    backup(standby_dir, archive_dir)
-    restore(archive_dir, restored_dir)
-    report = fleet_doctor(
-        restored_dir, archive_dir=archive_dir, verify_restore=True
-    )
+    # The operator runbook: promote behind the dead primary's lock,
+    # finish by full redelivery, then round-trip the cold archive.
+    promote(standby, config, fence=primary)
+    final = run_stream(events, standby, config, register=True)
+    archive, restored = out_dir / "archive", out_dir / "restored"
+    backup(standby, archive)
+    restore(archive, restored)
+    report = fleet_doctor(restored, archive_dir=archive, verify_restore=True)
     if not report["ok"]:
         raise RuntimeError(
-            f"fleet doctor rejected the backup/restore round trip: "
-            f"{report['problems']}"
+            f"fleet doctor rejected the backup/restore round trip: {report['problems']}"
         )
-    recovered = promote(restored_dir, config, policy=policy)
-    if recovered["digests"] != final["digests"] or recovered[
-        "fleet_cost"
-    ] != final["fleet_cost"]:
+    recovered = promote(restored, config)
+    if parity_mismatches(final, recovered):
         raise RuntimeError(
             "backup -> restore -> promote landed on different digests than "
             "the live standby"
         )
-
     return {
-        "promoted": promoted,
-        "final": final,
+        **final,
+        "kill_points": points,
         "sync_passes": sync_passes,
         "frames_shipped": frames_shipped,
         "restored_digests": recovered["digests"],
     }
 
 
-def run_sharded_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    *,
-    shards: int,
-    kills: int = 0,
-    chunk: int = 16,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-) -> tuple[SoakResult, int]:
-    """Serve the stream through a sharded fleet, SIGKILLing live workers.
+_TIERS = {"process": _process_tier, "shards": _shard_tier, "replica": _replica_tier}
 
-    Chunks of ``chunk`` events are routed through a
-    :class:`~repro.service.shard.ShardedAdvisorService`; at ``kills``
-    evenly spaced chunk boundaries a live worker (round-robin over
-    shards) gets a real ``SIGKILL`` **while the rest of the fleet keeps
-    serving** — the parent detects the death, respawns the worker
-    (which recovers its shard bit-identically from WAL + snapshots) and
-    redelivers the unacknowledged chunks.  Returns the final result and
-    the number of worker restarts observed (must equal ``kills``).
+
+def run_cell(
+    cell: Cell, events: list[dict], out_dir: str | Path, config: SessionConfig
+) -> dict:
+    """Run one cell into ``out_dir`` (best empty: fault claims persist).
+
+    Returns the final :class:`SoakResult` fields plus the cell's
+    evidence — where its faults were placed and what was observed — for
+    the caller to gate with :func:`parity_mismatches`.  Raises
+    :class:`~repro.errors.InvalidParameterError`, before any process is
+    spawned, when the stream cannot hold ``cell.count`` faults, and
+    :class:`RuntimeError` when the cell's invariant breaks.
     """
-    import os
-    import signal
-    import time
-
-    from .shard import ShardedAdvisorService
-
-    service = ShardedAdvisorService(
-        Path(state_dir),
-        config,
-        shards=shards,
-        policy=policy,
-        ledger_path=ledger_path,
-    )
-    chunks = [events[start : start + chunk] for start in range(0, len(events), chunk)]
-    kill_at: dict[int, int] = {}
-    for index in range(kills):
-        slot = 1 + (index * max(1, (len(chunks) - 2))) // max(1, kills)
-        while slot in kill_at:  # keep every kill distinct on short streams
-            slot += 1
-        kill_at[slot] = index % shards
-    fired = 0
-    try:
-        for index, batch in enumerate(chunks):
-            if index in kill_at:
-                victim = kill_at[index]
-                pid = service.worker_pids[victim]
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    fired += 1
-                    # Wait for the respawn so consecutive kills cannot
-                    # collapse into one observed death.
-                    deadline = time.monotonic() + 60.0
-                    baseline = service.restarts[victim]
-                    while service.restarts[victim] == baseline:
-                        if time.monotonic() > deadline:
-                            raise RuntimeError(
-                                f"shard {victim} was not respawned in time"
-                            )
-                        time.sleep(0.02)
-            service.submit_lines([json.dumps(record) for record in batch])
-        service.drain(timeout=300.0)
-        digests = service.digests(timeout=120.0)
-        snapshot = service.health_snapshot(timeout=120.0)
-        restarts = sum(service.restarts)
-    finally:
-        service.close()
-    if restarts != fired:
-        raise RuntimeError(
-            f"expected exactly {fired} worker restart(s), observed {restarts}"
-        )
-    return (
-        SoakResult(
-            fleet_cost=snapshot["fleet_cost"], digests=digests, snapshot=snapshot
-        ),
-        restarts,
-    )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return _TIERS[cell.tier](cell, events, out_dir, config)
 
 
-def run_hang_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    *,
-    shards: int,
-    hangs: int = 1,
-    chunk: int = 16,
-    hang_timeout: float = 2.0,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-) -> tuple[SoakResult, int]:
-    """Freeze live workers with ``SIGSTOP``; the supervisor must notice.
-
-    A SIGSTOPped worker is the canonical hang: the process is alive
-    (``is_alive()`` stays true, the pipe stays open) but it will never
-    ack again.  At ``hangs`` evenly spaced chunk boundaries a worker
-    that owns real vehicles is frozen *after* its chunk is dispatched,
-    so it sits on in-flight work; the parent must detect the silence,
-    SIGKILL it, respawn it, and redeliver — while the rest of the fleet
-    keeps serving.  Returns the final result and the number of hangs
-    the supervisor detected (must equal ``hangs``).
-    """
-    import os
-    import signal
-    import time
-
-    from .shard import ShardedAdvisorService
-
-    service = ShardedAdvisorService(
-        Path(state_dir),
-        config,
-        shards=shards,
-        policy=policy,
-        ledger_path=ledger_path,
-        hang_timeout=hang_timeout,
-    )
-    chunks = [events[start : start + chunk] for start in range(0, len(events), chunk)]
-    freeze_at: set[int] = set()
-    for index in range(hangs):
-        slot = 1 + (index * max(1, len(chunks) - 2)) // max(1, hangs)
-        while slot in freeze_at:
-            slot += 1
-        freeze_at.add(slot)
-    observed = 0
-    try:
-        for index, batch in enumerate(chunks):
-            lines = [json.dumps(record) for record in batch]
-            if index in freeze_at:
-                # Settle the fleet first: hang detection only arms once a
-                # worker has spoken since its last spawn, so freezing a
-                # still-booting worker would be silent-but-excused forever.
-                # After the drain every worker is armed and idle; the
-                # victim owns this chunk's first event, so the SIGSTOP
-                # must come *before* the submit below parks in-flight
-                # work on it — a worker frozen after acking everything is
-                # idle, and idle silence is not a hang.
-                service.drain(timeout=300.0)
-                victim = service.route(batch[0]["vehicle"])
-                pid = service.worker_pids[victim]
-                if pid is not None:
-                    baseline = service.restarts[victim]
-                    os.kill(pid, signal.SIGSTOP)
-                    service.submit_lines(lines)
-                    deadline = time.monotonic() + 60.0
-                    while service.restarts[victim] == baseline:
-                        if time.monotonic() > deadline:
-                            raise RuntimeError(
-                                f"hung shard {victim} was not respawned in time"
-                            )
-                        time.sleep(0.02)
-                    observed += 1
-                    continue
-            service.submit_lines(lines)
-        service.drain(timeout=300.0)
-        digests = service.digests(timeout=120.0)
-        snapshot = service.health_snapshot(timeout=120.0)
-        detected = sum(service.hangs)
-    finally:
-        service.close()
-    if detected != observed:
-        raise RuntimeError(
-            f"expected {observed} detected hang(s), supervisor saw {detected}"
-        )
-    return (
-        SoakResult(
-            fleet_cost=snapshot["fleet_cost"], digests=digests, snapshot=snapshot
-        ),
-        detected,
-    )
-
-
-def run_poison_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    *,
-    shards: int,
-    chunk: int = 16,
-    poison_budget: int = 3,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-) -> tuple[SoakResult, list[dict]]:
-    """One poison chunk must be quarantined; everything else must serve.
-
-    Mid-stream, a single-line chunk whose line deterministically
-    SIGKILLs any worker that touches it (a ``"kill"`` fault keyed to
-    the line, with enough claim budget to survive every redelivery) is
-    submitted on its own.  The supervisor must attribute the crash loop
-    to that chunk, quarantine it to the sidecar with provenance after
-    ``poison_budget`` crashes, and keep the shard serving its other
-    vehicles — the final digests must be bit-identical to a clean run
-    that never saw the poison line.  Returns the final result and the
-    parsed quarantine sidecar records.
-    """
-    import time
-
-    from .shard import POISON_SIDECAR_NAME, ShardedAdvisorService
-
-    state_dir = Path(state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    poison_line = json.dumps(
-        {"id": "poison-0", "vehicle": "poison-pill", "t": -1.0, "stop": 1.0},
-        sort_keys=True,
-    )
-    injector = FaultInjector(
-        _noop,
-        # Claim budget beyond poison_budget: every redelivery attempt
-        # burns one claim, and the quarantine decision happens parent-
-        # side — the line must keep killing until it is quarantined.
-        {poison_line: Fault("kill", times=4 * poison_budget)},
-        state_dir / "poison-claims",
-    )
-    service = ShardedAdvisorService(
-        state_dir,
-        config,
-        shards=shards,
-        policy=policy,
-        ledger_path=ledger_path,
-        injector=injector,
-        poison_budget=poison_budget,
-    )
-    chunks = [events[start : start + chunk] for start in range(0, len(events), chunk)]
-    half = len(chunks) // 2
-    try:
-        for batch in chunks[:half]:
-            service.submit_lines([json.dumps(record) for record in batch])
-        # Drain first so the poison chunk is the sole head of its
-        # shard's in-flight queue — crash attribution is unambiguous.
-        service.drain(timeout=300.0)
-        service.submit_lines([poison_line])
-        deadline = time.monotonic() + 120.0
-        while service.quarantined_chunks < 1:
-            if time.monotonic() > deadline:
-                raise RuntimeError("poison chunk was not quarantined in time")
-            time.sleep(0.02)
-        for batch in chunks[half:]:
-            service.submit_lines([json.dumps(record) for record in batch])
-        service.drain(timeout=300.0)
-        digests = service.digests(timeout=120.0)
-        snapshot = service.health_snapshot(timeout=120.0)
-    finally:
-        service.close()
-    sidecar = state_dir / POISON_SIDECAR_NAME
-    records = [
-        json.loads(line) for line in sidecar.read_text().splitlines() if line.strip()
+def parity_mismatches(clean: dict, result: dict) -> list[str]:
+    """What differs from the clean run: ``"fleet_cost"``, then every
+    vehicle whose digest differs; empty when bit-identical."""
+    vehicles = sorted(set(clean["digests"]) | set(result["digests"]))
+    return (["fleet_cost"] if result["fleet_cost"] != clean["fleet_cost"] else []) + [
+        vehicle
+        for vehicle in vehicles
+        if clean["digests"].get(vehicle) != result["digests"].get(vehicle)
     ]
-    if len(records) != 1 or records[0]["lines"] != [poison_line]:
-        raise RuntimeError(f"unexpected quarantine sidecar contents: {records}")
-    return (
-        SoakResult(
-            fleet_cost=snapshot["fleet_cost"], digests=digests, snapshot=snapshot
-        ),
-        records,
-    )
-
-
-def run_disk_fault_chaos(
-    events: list[dict],
-    state_dir: str | Path,
-    config: SessionConfig,
-    *,
-    windows: int = 2,
-    window_length: int = 3,
-    policy: str = "repair",
-    ledger_path: str | Path | None = None,
-    batch: int = 1,
-) -> tuple[SoakResult, object]:
-    """Serve through injected ``ENOSPC`` windows; heal bit-identically.
-
-    ``windows`` down-windows of ``window_length`` failing disk
-    operations each are spread over the first half of the stream's
-    write schedule.  While a window is open the service must keep
-    serving (SAFE decisions, zero unhandled exceptions); once the disk
-    heals the buffered tail is replayed and the final state must be
-    bit-identical to a run that never saw a fault.  Returns the final
-    result and the injector (for ``ops``/``raised`` assertions).
-    """
-    from ..engine.faults import FsFault, FsFaultInjector
-
-    state_dir = Path(state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    # One WAL append per event dominates the op schedule; keeping every
-    # window inside the first half of the stream guarantees the probe
-    # backoff drains it with events to spare before the run ends.
-    budget = max(2, len(events) // 2)
-    faults = {}
-    for index in range(windows):
-        ordinal = 2 + (index * budget) // max(1, windows)
-        while ordinal in faults:
-            ordinal += window_length + 1
-        faults[ordinal] = FsFault(count=window_length)
-    fs = FsFaultInjector(faults, state_dir / "fs-claims")
-    result = run_stream(
-        events,
-        state_dir,
-        config,
-        policy=policy,
-        ledger_path=ledger_path,
-        batch=batch,
-        fs=fs,
-    )
-    return result, fs
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.service.soak",
-        description="SIGKILL soak test: chaos run must cost exactly what the clean run costs.",
+        description="Chaos grid: every scenario cell must end bit-identical "
+        "to one clean run of the same stream.",
+    )
+    parser.add_argument(
+        "--scenario",
+        nargs="+",
+        required=True,
+        choices=list(CELLS),
+        metavar="CELL",
+        help="cells to run, each only itself: " + ", ".join(CELLS),
     )
     parser.add_argument("--vehicles", type=int, default=4)
     parser.add_argument("--stops", type=int, default=80, help="stops per vehicle")
-    parser.add_argument("--kills", type=int, default=3, help="SIGKILL injection count")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--area", default="chicago")
     parser.add_argument("--break-even", type=float, default=28.0)
     parser.add_argument("--safe-strategy", choices=("nrand", "det"), default="nrand")
     parser.add_argument(
-        "--batch",
-        type=int,
-        default=1,
-        help="serve in columnar chunks of N events; the batched clean run "
-        "is parity-checked against the scalar clean run, and the chaos "
-        "cycle itself runs batched (kills land mid-group-commit)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="also run the stream through an N-shard multi-process fleet "
-        "and parity-check it against the single-process clean run "
-        "(0 = skip the sharded phase)",
-    )
-    parser.add_argument(
-        "--kill-workers",
-        type=int,
-        default=0,
-        help="SIGKILL this many live shard workers mid-stream (requires "
-        "--shards); the fleet must keep serving and every killed shard "
-        "must recover bit-identically",
-    )
-    parser.add_argument(
-        "--hang-workers",
-        type=int,
-        default=0,
-        help="SIGSTOP this many live shard workers mid-stream (requires "
-        "--shards); the supervisor must detect each hang, SIGKILL and "
-        "respawn the worker, and the run must stay bit-identical",
-    )
-    parser.add_argument(
-        "--poison",
-        action="store_true",
-        help="inject one worker-killing poison chunk (requires --shards); "
-        "it must be quarantined with provenance after the poison budget "
-        "while the shard keeps serving everything else",
-    )
-    parser.add_argument(
-        "--disk-faults",
-        type=int,
-        default=0,
-        help="inject this many ENOSPC down-windows into the single-process "
-        "run's disk writes; the service must keep serving SAFE decisions "
-        "and recover bit-identically once the disk heals",
-    )
-    parser.add_argument(
-        "--kill-primary",
-        action="store_true",
-        help="run the disaster-recovery drill: SIGKILL the primary "
-        "two-thirds through the stream while a standby ships its WAL, "
-        "promote the standby (fenced against the dead primary's lock), "
-        "finish the stream, and round-trip backup -> restore -> fleet "
-        "doctor; the result must be bit-identical to the clean run",
-    )
-    parser.add_argument(
         "--out", type=Path, default=Path("results/soak"), help="artifact directory"
     )
     args = parser.parse_args(argv)
-    if args.kill_workers and not args.shards:
-        parser.error("--kill-workers requires --shards N")
-    if args.hang_workers and not args.shards:
-        parser.error("--hang-workers requires --shards N")
-    if args.poison and not args.shards:
-        parser.error("--poison requires --shards N")
 
     events = build_fleet_events(args.vehicles, args.stops, args.seed, args.area)
     config = SessionConfig(
@@ -774,235 +610,37 @@ def main(argv: list[str] | None = None) -> int:
         dedup_window=max(1024, args.stops + 1),
         seed=args.seed,
     )
-    rng = np.random.default_rng(args.seed)
-    kill_points = sorted(
-        int(i) for i in rng.choice(np.arange(1, len(events) - 1), size=min(args.kills, len(events) - 2), replace=False)
-    )
-    print(f"{len(events)} events over {args.vehicles} vehicles; kills at {kill_points}")
-
+    names = list(dict.fromkeys(args.scenario))
+    print(f"{len(events)} events over {args.vehicles} vehicles; cells {names}")
+    for name in ["clean", *names]:  # claims from an earlier run would mute faults
+        shutil.rmtree(args.out / name, ignore_errors=True)
     clean = run_stream(events, args.out / "clean", config)
-    if args.batch > 1:
-        batched = run_stream(
-            events, args.out / "clean-batch", config, batch=args.batch
+    status = 0
+    for name in names:
+        try:
+            outcome = run_cell(CELLS[name], events, args.out / name, config)
+        except (InvalidParameterError, RuntimeError) as exc:
+            print(f"{name}: FAILED: {exc}", file=sys.stderr)
+            status = 1
+            continue
+        outcome.pop("snapshot")
+        summary = {"cell": asdict(CELLS[name]), **outcome}
+        (args.out / name / "summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True)
         )
-        if (
-            batched["fleet_cost"] != clean["fleet_cost"]
-            or batched["digests"] != clean["digests"]
-        ):
-            print(
-                f"PARITY FAILED: batched clean run (--batch {args.batch}) "
-                "differs from the scalar clean run",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"batched clean run (--batch {args.batch}) matches scalar")
-    if args.shards:
-        sharded, worker_restarts = run_sharded_chaos(
-            events,
-            args.out / "sharded",
-            config,
-            shards=args.shards,
-            kills=args.kill_workers,
-            chunk=max(args.batch, 8),
-            ledger_path=args.out / "sharded-ledger.jsonl",
+        mismatched = parity_mismatches(clean, outcome)
+        if mismatched:
+            print(f"{name}: PARITY FAILED: {mismatched}", file=sys.stderr)
+            status = 1
+            continue
+        brief = ", ".join(
+            f"{key}={value}"
+            for key, value in outcome.items()
+            if isinstance(value, int)
+            or (isinstance(value, list) and all(isinstance(i, int) for i in value))
         )
-        if (
-            sharded["fleet_cost"] != clean["fleet_cost"]
-            or sharded["digests"] != clean["digests"]
-        ):
-            mismatched = [
-                vehicle
-                for vehicle in clean["digests"]
-                if sharded["digests"].get(vehicle) != clean["digests"][vehicle]
-            ]
-            print(
-                f"PARITY FAILED: sharded run (--shards {args.shards}, "
-                f"{args.kill_workers} worker kill(s)) mismatched vehicles "
-                f"{mismatched}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"sharded run (--shards {args.shards}) matches single-process "
-            f"after {worker_restarts} worker SIGKILL(s)"
-        )
-        (args.out / "sharded-summary.json").write_text(
-            json.dumps(
-                {
-                    "shards": args.shards,
-                    "worker_kills": args.kill_workers,
-                    "worker_restarts": worker_restarts,
-                    "fleet_cost": sharded["fleet_cost"],
-                    "digests": sharded["digests"],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    if args.hang_workers:
-        hung, detected = run_hang_chaos(
-            events,
-            args.out / "hang",
-            config,
-            shards=args.shards,
-            hangs=args.hang_workers,
-            chunk=max(args.batch, 8),
-            ledger_path=args.out / "hang-ledger.jsonl",
-        )
-        if (
-            hung["fleet_cost"] != clean["fleet_cost"]
-            or hung["digests"] != clean["digests"]
-        ):
-            print(
-                f"PARITY FAILED: hang-chaos run ({args.hang_workers} frozen "
-                "worker(s)) differs from the clean run",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"hang-chaos run matches clean after {detected} detected hang(s) "
-            "(SIGSTOP -> supervisor SIGKILL -> respawn)"
-        )
-    if args.poison:
-        poisoned, quarantined = run_poison_chaos(
-            events,
-            args.out / "poison",
-            config,
-            shards=args.shards,
-            chunk=max(args.batch, 8),
-            ledger_path=args.out / "poison-ledger.jsonl",
-        )
-        if (
-            poisoned["fleet_cost"] != clean["fleet_cost"]
-            or poisoned["digests"] != clean["digests"]
-        ):
-            print(
-                "PARITY FAILED: poison-chaos run differs from the clean run",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"poison-chaos run matches clean; {len(quarantined)} chunk(s) "
-            f"quarantined after {quarantined[0]['crashes']} crash(es)"
-        )
-    if args.disk_faults:
-        faulted, fs = run_disk_fault_chaos(
-            events,
-            args.out / "disk",
-            config,
-            windows=args.disk_faults,
-            ledger_path=args.out / "disk-ledger.jsonl",
-            batch=args.batch,
-        )
-        durability = faulted["snapshot"]["durability"]
-        if (
-            faulted["fleet_cost"] != clean["fleet_cost"]
-            or faulted["digests"] != clean["digests"]
-        ):
-            print(
-                f"PARITY FAILED: disk-fault run ({args.disk_faults} ENOSPC "
-                "window(s)) differs from the clean run",
-                file=sys.stderr,
-            )
-            return 1
-        if durability["suspensions"] < 1 or fs.raised < 1:
-            print(
-                "DISK-FAULT CHECK FAILED: no suspension was ever triggered "
-                f"(suspensions={durability['suspensions']}, raised={fs.raised})",
-                file=sys.stderr,
-            )
-            return 1
-        if durability["suspended_sessions"] or durability["dropped_events"]:
-            print(
-                f"DISK-FAULT CHECK FAILED: durability did not heal cleanly "
-                f"({durability})",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"disk-fault run matches clean after {durability['suspensions']} "
-            f"suspension(s) ({fs.raised} injected write failure(s), "
-            f"{durability['resumes']} resume(s))"
-        )
-    if args.kill_primary:
-        replica = run_replica_chaos(
-            events,
-            args.out / "replica",
-            config,
-            kill_point=max(1, (2 * len(events)) // 3),
-        )
-        final = replica["final"]
-        if (
-            final["fleet_cost"] != clean["fleet_cost"]
-            or final["digests"] != clean["digests"]
-        ):
-            mismatched = [
-                vehicle
-                for vehicle in clean["digests"]
-                if final["digests"].get(vehicle) != clean["digests"][vehicle]
-            ]
-            print(
-                f"PARITY FAILED: promoted-standby run mismatched vehicles "
-                f"{mismatched}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"promoted standby matches clean after primary SIGKILL "
-            f"({replica['sync_passes']} sync pass(es), "
-            f"{replica['frames_shipped']} frame(s) shipped before the kill); "
-            f"backup/restore round trip verified"
-        )
-        (args.out / "replica-summary.json").write_text(
-            json.dumps(
-                {
-                    "kill_point": max(1, (2 * len(events)) // 3),
-                    "sync_passes": replica["sync_passes"],
-                    "frames_shipped": replica["frames_shipped"],
-                    "fleet_cost": final["fleet_cost"],
-                    "digests": final["digests"],
-                    "restored_digests": replica["restored_digests"],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    chaos, restarts = run_chaos(
-        events,
-        args.out / "chaos",
-        config,
-        kill_points,
-        ledger_path=args.out / "chaos-ledger.jsonl",
-        batch=args.batch,
-    )
-    print(f"clean fleet cost: {clean['fleet_cost']!r}")
-    print(f"chaos fleet cost: {chaos['fleet_cost']!r} ({restarts} restart(s))")
-    ledger_records = read_ledger(args.out / "chaos-ledger.jsonl")
-    print(f"chaos ledger: {len(ledger_records)} record(s)")
-    (args.out / "soak-summary.json").write_text(
-        json.dumps(
-            {
-                "config": asdict(config),
-                "batch": args.batch,
-                "kill_points": kill_points,
-                "restarts": restarts,
-                "clean": clean,
-                "chaos": chaos,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    if chaos["fleet_cost"] != clean["fleet_cost"] or chaos["digests"] != clean["digests"]:
-        mismatched = [
-            vehicle
-            for vehicle in clean["digests"]
-            if chaos["digests"].get(vehicle) != clean["digests"][vehicle]
-        ]
-        print(f"PARITY FAILED: mismatched vehicles {mismatched}", file=sys.stderr)
-        return 1
-    print("PARITY OK: chaos run is bit-identical to the clean run")
-    return 0
+        print(f"{name}: PARITY OK ({brief})")
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI/CI

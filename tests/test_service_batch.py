@@ -29,6 +29,7 @@ Layers:
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.engine.ledger import RunLedger, use_ledger
 from repro.errors import DataValidationError
 from repro.service import AdvisorService, AdvisorSession, SessionConfig
 from repro.service.batch import ColumnarRun, MalformedEvent, plan_chunk
-from repro.service.soak import build_fleet_events, run_chaos, run_stream
+from repro.service.soak import CELLS, build_fleet_events, run_cell, run_stream
 
 B = 28.0
 
@@ -369,9 +370,8 @@ def test_sigkill_chaos_in_batch_mode(tmp_path):
     batched_clean = run_stream(events, tmp_path / "clean-batch", config, batch=8)
     assert batched_clean["digests"] == clean["digests"]
     assert batched_clean["fleet_cost"] == clean["fleet_cost"]
-    chaos, restarts = run_chaos(
-        events, tmp_path / "chaos", config, [17, 44], batch=8
-    )
-    assert restarts >= 2
+    cell = replace(CELLS["process-kill-batch"], count=2, batch=8)
+    chaos = run_cell(cell, events, tmp_path / "chaos", config)
+    assert chaos["restarts"] == 2
     assert chaos["digests"] == clean["digests"]
     assert chaos["fleet_cost"] == clean["fleet_cost"]

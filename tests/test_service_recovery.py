@@ -8,12 +8,13 @@ Two layers:
   redelivering the FULL stream, yields a state digest bit-identical to
   an uninterrupted in-memory run;
 * the acceptance chaos pin — a real SIGKILL delivered at arbitrary
-  event indices via :func:`repro.service.soak.run_chaos`, restart from
+  event indices by the ``process-kill`` soak cell, restart from
   ``--state-dir``, per-vehicle thresholds (RNG stream included) and
   total cost bit-identical to the uninterrupted run.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import AdvisorSession, SessionConfig
-from repro.service.soak import build_fleet_events, run_chaos, run_stream
+from repro.service.soak import CELLS, build_fleet_events, run_cell, run_stream
 
 B = 28.0
 N_EVENTS = 40
@@ -166,16 +167,11 @@ class TestSigkillChaosPin:
             seed=3,
         )
         clean = run_stream(events, tmp_path / "clean", config)
-        kill_points = [17, 41]
-        chaos, restarts = run_chaos(
-            events,
-            tmp_path / "chaos",
-            config,
-            kill_points,
-            ledger_path=tmp_path / "chaos-ledger.jsonl",
-        )
-        assert restarts == len(kill_points)  # each kill fired exactly once
+        cell = replace(CELLS["process-kill"], count=2)
+        chaos = run_cell(cell, events, tmp_path / "chaos", config)
+        assert len(chaos["kill_points"]) == 2
+        assert chaos["restarts"] == 2  # each kill fired exactly once
         assert chaos["fleet_cost"] == clean["fleet_cost"]  # exact, not approx
         assert chaos["digests"] == clean["digests"]
         # The ledger survived the kills and is readable.
-        assert (tmp_path / "chaos-ledger.jsonl").exists()
+        assert (tmp_path / "chaos" / "ledger.jsonl").exists()

@@ -14,6 +14,7 @@ bit-identically or is cleanly detected, never a silently wrong digest.
 
 import asyncio
 import contextlib
+import errno
 import json
 import os
 import threading
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.faults import FsFault, FsFaultInjector, NetFault, NetFaultInjector
+from repro.engine.faults import FsFault, FsFaultInjector
 from repro.service.advisor import AdvisorService, RegisteredAdvisorService
 from repro.service.replica import (
     LocalReplicaTarget,
@@ -246,8 +247,9 @@ class TestRemoteShipping:
         sock = str(tmp_path / "replica.sock")
         # ordinals are global over net ops: drop the very first connect
         # and a mid-stream send — both passes must re-ship idempotently.
-        net = NetFaultInjector(
-            {1: NetFault(), 5: NetFault(count=2)}, tmp_path / "net-claims"
+        drop = errno.ECONNRESET
+        net = FsFaultInjector(
+            {1: FsFault(drop), 5: FsFault(drop, count=2)}, tmp_path / "net-claims"
         )
         with _replica_server(standby, sock):
             target = RemoteReplicaTarget(f"unix:{sock}", net=net)
@@ -638,7 +640,7 @@ class TestKillPrimaryChaosPin:
 
     @pytest.mark.slow
     def test_killed_primary_promoted_standby_is_bit_identical(self, tmp_path):
-        from repro.service.soak import run_replica_chaos
+        from repro.service.soak import CELLS, run_cell
 
         events = build_fleet_events(vehicles=2, stops_per_vehicle=20, seed=3)
         config = SessionConfig(
@@ -649,16 +651,11 @@ class TestKillPrimaryChaosPin:
             seed=3,
         )
         clean = run_stream(events, tmp_path / "clean", config, register=True)
-        result = run_replica_chaos(
-            events,
-            tmp_path / "chaos",
-            config,
-            kill_point=(2 * len(events)) // 3,
-        )
-        # run_replica_chaos already raises on backup/restore divergence;
+        result = run_cell(CELLS["primary-kill"], events, tmp_path / "chaos", config)
+        # The cell already raises on backup/restore divergence;
         # the promoted-standby parity against a never-failed run is ours.
-        assert result["final"]["fleet_cost"] == clean["fleet_cost"]
-        assert result["final"]["digests"] == clean["digests"]
+        assert result["fleet_cost"] == clean["fleet_cost"]
+        assert result["digests"] == clean["digests"]
         assert result["sync_passes"] >= 1
         assert result["frames_shipped"] >= 1
         assert result["restored_digests"] == clean["digests"]

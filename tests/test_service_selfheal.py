@@ -11,10 +11,11 @@ The load-bearing properties:
   Stated as a Hypothesis property over fault schedules.
 * **A hung worker is a detected worker.**  A SIGSTOPped worker holding
   in-flight work is SIGKILLed and respawned through the normal
-  redelivery path (marked ``slow``: real processes).
+  redelivery path — the ``worker-hang`` soak cell (marked ``slow``:
+  real processes).
 * **A poison chunk is quarantined, not retried forever.**  The sidecar
   record carries full provenance and the rest of the fleet keeps
-  serving (marked ``slow``).
+  serving — the ``poison`` soak cell (marked ``slow``).
 * **A crash loop opens the breaker.**  Traffic to the dead shard is
   shed with count and readiness says why (marked ``slow``).
 """
@@ -23,10 +24,10 @@ import contextlib
 import errno
 import json
 import os
-import signal
 import stat
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -34,10 +35,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.faults import Fault, FaultInjector, FsFault, FsFaultInjector
-from repro.engine.ledger import RunLedger
-from repro.service import AdvisorService, SessionConfig
-from repro.service.shard import POISON_SIDECAR_NAME, ShardedAdvisorService
-from repro.service.soak import _noop
+from repro.engine.ledger import RunLedger, read_ledger
+from repro.service import AdvisorService, SessionConfig, soak
+from repro.service.shard import POISON_SIDECAR_NAME, HashRing, ShardedAdvisorService
+from repro.service.soak import CELLS, _noop, parity_mismatches, run_cell, run_stream
 from repro.service.wal import SnapshotStore, WriteAheadLog
 
 B = 28.0
@@ -468,84 +469,57 @@ def test_inline_tier_readiness_reflects_suspended_sessions(tmp_path):
 @pytest.mark.slow
 def test_hang_detection_respawns_a_frozen_worker(tmp_path):
     events = _events(vehicles=4, stops=8)
-    lines = [json.dumps(record) for record in events]
-    service = ShardedAdvisorService(
-        tmp_path, CONFIG, shards=2, hang_timeout=1.0
-    )
-    try:
-        service.submit_lines(lines[: len(lines) // 2])
-        # Settle first: hang detection only arms once a worker has
-        # spoken since its last spawn (a booting worker is excused).
-        service.drain(timeout=120.0)
-        victim = service.route(events[len(events) // 2]["vehicle"])
-        pid = service.worker_pids[victim]
-        baseline = service.restarts[victim]
-        os.kill(pid, signal.SIGSTOP)
-        service.submit_lines(lines[len(lines) // 2 :])
-        deadline = time.monotonic() + 60.0
-        while service.restarts[victim] == baseline:
-            assert time.monotonic() < deadline, "hang was never detected"
-            time.sleep(0.05)
-        assert service.hangs[victim] == 1
-        service.drain(timeout=120.0)
-        snapshot = service.health_snapshot(timeout=60.0)
-        assert snapshot["routing"]["hangs"] == 1
-        # Nothing was lost to the freeze: the respawned worker's warm
-        # recovery plus redelivery converge on the clean run's state.
-        assert service.digests(timeout=60.0) == _serve(
-            tmp_path.parent / "hang-clean", events
-        )
-    finally:
-        service.close()
+    cell = replace(CELLS["worker-hang"], count=1)
+    outcome = run_cell(cell, events, tmp_path, CONFIG)
+    # The freeze lands on the worker owning its chunk's first vehicle.
+    [slot] = outcome["slots"]
+    victim = HashRing(soak.SHARDS).route(events[slot * soak.SHARD_CHUNK]["vehicle"])
+    assert outcome["hangs"][victim] == 1
+    assert outcome["restarts"][victim] == 1  # the frozen worker was respawned
+    assert outcome["snapshot"]["routing"]["hangs"] == 1
+    # Nothing was lost to the freeze: the respawned worker's warm
+    # recovery plus redelivery converge on the clean run's state.
+    assert outcome["digests"] == _serve(tmp_path.parent / "hang-clean", events)
 
 
 @pytest.mark.slow
 def test_poison_chunk_is_quarantined_with_provenance(tmp_path):
     events = _events(vehicles=4, stops=6)
-    poison_line = json.dumps(
-        {"id": "poison-0", "vehicle": "poison-pill", "t": -1.0, "stop": 1.0},
-        sort_keys=True,
-    )
-    injector = FaultInjector(
-        _noop, {poison_line: Fault("kill", times=12)}, tmp_path / "claims"
-    )
-    service = ShardedAdvisorService(
-        tmp_path, CONFIG, shards=2, poison_budget=2, injector=injector
-    )
-    try:
-        service.submit_lines([json.dumps(record) for record in events[:12]])
-        service.drain(timeout=120.0)  # attribution needs a lone head chunk
-        service.submit_lines([poison_line])
-        deadline = time.monotonic() + 120.0
-        while service.quarantined_chunks < 1:
-            assert time.monotonic() < deadline, "poison chunk never quarantined"
-            time.sleep(0.05)
-        service.submit_lines([json.dumps(record) for record in events[12:]])
-        service.drain(timeout=120.0)
-        assert service.quarantined_chunks == 1
-        assert service.quarantined_events == 1
-        snapshot = service.health_snapshot(timeout=60.0)
-        assert snapshot["routing"]["quarantined_chunks"] == 1
-        # The quarantine protected everyone else: final digests match a
-        # run that never saw the poison line at all.
-        assert service.digests(timeout=60.0) == _serve(
-            tmp_path.parent / "poison-clean", events
-        )
-    finally:
-        service.close()
+    outcome = run_cell(CELLS["poison"], events, tmp_path, CONFIG)
+    routing = outcome["snapshot"]["routing"]
+    assert routing["quarantined_chunks"] == 1
+    assert routing["quarantined_events"] == 1
+    # The quarantine protected everyone else: final digests match a
+    # run that never saw the poison line at all.
+    assert outcome["digests"] == _serve(tmp_path.parent / "poison-clean", events)
     records = [
         json.loads(line)
-        for line in (tmp_path / POISON_SIDECAR_NAME).read_text().splitlines()
+        for line in (tmp_path / "state" / POISON_SIDECAR_NAME).read_text().splitlines()
     ]
     assert len(records) == 1
     [record] = records
-    assert record["lines"] == [poison_line]
-    assert record["crashes"] == 2
+    assert record["lines"] == [soak.POISON_LINE]
+    assert record["crashes"] == soak.POISON_BUDGET
     assert record["events"] == 1
-    assert record["shard"] == service.route("poison-pill")
+    assert record["shard"] == HashRing(soak.SHARDS).route("poison-pill")
     # Written at classification time: the final crash's respawn has not
     # bumped the counter yet, so it records the restarts *before* it.
-    assert record["restarts"] == 1
+    assert record["restarts"] == soak.POISON_BUDGET - 1
+
+
+def test_disk_cell_heals_bit_identically_and_gaps_the_ledger(tmp_path):
+    """The ``disk`` soak cell in process: its ENOSPC windows cover the
+    run ledger too, so a swallowed emit leaves a ``seq`` gap on disk."""
+    events = _events(vehicles=2, stops=12)
+    clean = run_stream(events, tmp_path / "clean", CONFIG)
+    outcome = run_cell(CELLS["disk"], events, tmp_path / "disk", CONFIG)
+    assert parity_mismatches(clean, outcome) == []
+    durability = outcome["snapshot"]["durability"]
+    assert durability["suspensions"] >= 1
+    assert durability["suspended_sessions"] == 0
+    assert durability["dropped_events"] == 0
+    seqs = [record["seq"] for record in read_ledger(tmp_path / "disk" / "ledger.jsonl")]
+    assert seqs != list(range(seqs[0], seqs[0] + len(seqs)))
 
 
 @pytest.mark.slow

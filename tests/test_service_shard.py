@@ -34,7 +34,7 @@ from repro.service.shard import (
     release_shard_lock,
     sweep_stale_shard_locks,
 )
-from repro.service.soak import build_fleet_events, run_sharded_chaos
+from repro.service.soak import CELLS, build_fleet_events, run_cell
 
 B = 28.0
 
@@ -415,13 +415,30 @@ def test_worker_sigkill_chaos_recovers_bit_identically(tmp_path):
     lines = [json.dumps(event) for event in events]
     _, digests_single, cost_single = _single_reference(tmp_path, lines)
 
-    result, restarts = run_sharded_chaos(
-        events, tmp_path / "fleet", CONFIG, shards=2, kills=2, chunk=8
-    )
-    assert restarts == 2
+    result = run_cell(CELLS["worker-kill"], events, tmp_path / "fleet", CONFIG)
+    assert result["restarts"] == [1, 1]  # round-robin: each shard died once
     assert result["digests"] == digests_single
     assert result["fleet_cost"] == cost_single
     assert result["snapshot"]["routing"]["restarts"] == 2
+
+
+def test_chaos_cell_refuses_a_stream_too_short_for_its_faults(tmp_path):
+    """A cell places its faults before it builds anything: a stream
+    with fewer fault slots than the cell's count is refused up front,
+    never served with fewer faults than configured."""
+    from repro.errors import InvalidParameterError
+    from repro.service.soak import main
+
+    # 2 vehicles x 6 stops = 12 events = 2 chunks: one slot, two kills.
+    events = build_fleet_events(vehicles=2, stops_per_vehicle=6, seed=29)
+    with pytest.raises(InvalidParameterError, match="room for 1 .*needs 2"):
+        run_cell(CELLS["worker-kill"], events, tmp_path / "fleet", CONFIG)
+    assert not (tmp_path / "fleet" / "state").exists()  # no worker spawned
+    with pytest.raises(InvalidParameterError, match="room for 2 kill points"):
+        run_cell(CELLS["process-kill"], events[:3], tmp_path / "proc", CONFIG)
+    assert not (tmp_path / "proc" / "state").exists()
+    argv = ["--scenario", "worker-kill", "--vehicles", "2", "--stops", "6"]
+    assert main([*argv, "--out", str(tmp_path / "cli")]) == 1
 
 
 # -- the JSONL front end --------------------------------------------------
