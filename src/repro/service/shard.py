@@ -1,4 +1,4 @@
-"""Sharded multi-process serving tier: consistent-hash fleet routing.
+"""Sharded serving tier: consistent-hash fleet routing.
 
 One :class:`~repro.service.advisor.AdvisorService` process tops out at
 one core's worth of batched ingest.  :class:`ShardedAdvisorService`
@@ -45,6 +45,11 @@ left by a SIGKILLed worker is swept automatically on the next acquire, and
 ``repro-idling cache doctor --fault-claims DIR`` sweeps them explicitly
 via :func:`sweep_stale_shard_locks`.
 
+Workers run as spawned processes or, with ``workers=False``, as
+threads of the calling process.  Both transports run the same worker
+loop over the same queues and pipes; only the process transport gets
+SIGTERM handoffs and hang kills, because a thread cannot be signalled.
+
 See ``docs/serving.md`` ("Sharded serving") for the topology diagram,
 the routing rule, and the health endpoint schema.
 """
@@ -67,12 +72,7 @@ from pathlib import Path
 
 from ..engine.ledger import RunLedger, active_ledger, use_ledger
 from ..errors import InvalidParameterError, ReproError
-from .advisor import (
-    REGISTRY_NAME,
-    AdvisorService,
-    RegisteredAdvisorService,
-    gate_on_replication,
-)
+from .advisor import AdvisorService, RegisteredAdvisorService, gate_on_replication
 
 __all__ = [
     "HashRing",
@@ -87,10 +87,6 @@ __all__ = [
 ]
 
 SHARD_LOCK_NAME = "shard.lock"
-# Per-shard vehicle registry; the implementation (and the canonical
-# REGISTRY_NAME constant) moved to advisor.py when standby promotion
-# started needing the same warm-recovery machinery.
-_REGISTRY_NAME = REGISTRY_NAME
 #: Rate limit for shard-tier backpressure ledger warnings (mirrors the
 #: per-process ``AdvisorService.offer`` policy).
 _SHED_WARN_EVERY = 1000
@@ -243,12 +239,12 @@ def sweep_stale_shard_locks(root: str | Path) -> list[str]:
     return sweep_dead_owners(candidates)
 
 
-# -- worker process --------------------------------------------------------
+# -- shard worker ----------------------------------------------------------
 
 
-# Kept under its historical private name for the worker below; the
-# class itself now lives in advisor.py (promotion reuses it).
-_RegisteredAdvisorService = RegisteredAdvisorService
+def _worker_pid(worker) -> int | None:
+    """A worker process's pid; ``None`` for a missing or thread worker."""
+    return getattr(worker, "pid", None)
 
 
 def _execute_command(
@@ -340,17 +336,19 @@ def _shard_worker(
     injector=None,
     beat_every: float = 0.0,
 ) -> None:
-    """Worker-process entry point (module-level: spawn-picklable).
+    """Shard-worker entry point: a spawned process or an in-process thread.
 
     Owns one shard: lock the state dir, warm-recover every session,
     serve commands until ``("stop",)`` or SIGTERM, then flush WAL +
     final snapshots and release the lock.  Any exception is reported to
     the parent as an ``("error", ...)`` message rather than a silent
-    nonzero exit.
+    nonzero exit.  Signal handlers can only be installed by a main
+    thread, so a thread worker leaves them to its process.
     """
     stopping = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_args: stopping.set())
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns ctrl-C
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGTERM, lambda *_args: stopping.set())
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns ctrl-C
     try:
         lock_path = acquire_shard_lock(state_dir)
     except ShardLockError:
@@ -365,7 +363,7 @@ def _shard_worker(
     service = None
     error = None
     try:
-        service = _RegisteredAdvisorService(
+        service = RegisteredAdvisorService(
             Path(state_dir),
             config,
             policy=policy,
@@ -412,10 +410,13 @@ class ShardedAdvisorService:
     shards:
         Worker count (>= 1).
     workers:
-        ``True`` (default) spawns one process per shard.  ``False``
-        runs the same routing over in-process ``AdvisorService``
-        instances — no parallelism, but byte-for-byte the same
-        partition; the equivalence property tests this mode.
+        ``True`` (default) runs each shard's worker in a spawned
+        process.  ``False`` runs the same worker loop on a thread of
+        this process: the same command queues, pipes, acks, per-shard
+        ``vehicles.idx`` registry and warm recovery, but no
+        parallelism, no SIGTERM handoff and no hang kill (a thread
+        cannot be SIGKILLed).  The pure-partition property runs this
+        transport.
     queue_depth:
         Bound on each shard's pending-command queue.  ``submit_lines``
         blocks on a full queue (lossless backpressure);
@@ -472,7 +473,6 @@ class ShardedAdvisorService:
         replicas: int = 64,
         workers: bool = True,
         ledger_path: str | Path | None = None,
-        recover: bool = True,
         hang_timeout: float | None = 30.0,
         restart_budget: int = 8,
         poison_budget: int = 3,
@@ -499,7 +499,6 @@ class ShardedAdvisorService:
         self.policy = policy
         self.fsync = bool(fsync)
         self.max_queue = int(max_queue)
-        self.recover = bool(recover)
         self.shards = int(shards)
         self.queue_depth = max(1, int(queue_depth))
         self.ring = HashRing(self.shards, replicas)
@@ -532,20 +531,6 @@ class ShardedAdvisorService:
             else max(0.05, min(1.0, self.hang_timeout / 4.0))
         )
         self._poison_path = self.state_dir / POISON_SIDECAR_NAME
-        if not self.worker_mode:
-            self._inline = [
-                AdvisorService(
-                    self._shard_dir(index),
-                    config,
-                    policy=policy,
-                    fsync=fsync,
-                    max_queue=max_queue,
-                    recover=recover,
-                )
-                for index in range(self.shards)
-            ]
-            self._closed = False
-            return
         self._context = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -610,9 +595,8 @@ class ShardedAdvisorService:
 
     @property
     def worker_pids(self) -> list[int | None]:
-        if not self.worker_mode:
-            return []
-        return [process.pid if process is not None else None for process in self._procs]
+        """Per-shard worker pids; ``None`` for thread workers."""
+        return [_worker_pid(process) for process in self._procs]
 
     def __enter__(self) -> "ShardedAdvisorService":
         return self
@@ -676,9 +660,7 @@ class ShardedAdvisorService:
         if not lines:
             return
         for shard, (_positions, sub_lines) in self._partition(lines):
-            if not self.worker_mode:
-                self._inline[shard].ingest_lines(sub_lines)
-            elif (
+            if (
                 self._dispatch(shard, sub_lines, want_decisions=False, block=True)
                 is _BREAKER
             ):
@@ -698,10 +680,6 @@ class ShardedAdvisorService:
             return 0
         accepted = 0
         for shard, (_positions, sub_lines) in self._partition(lines):
-            if not self.worker_mode:
-                self._inline[shard].ingest_lines(sub_lines)
-                accepted += len(sub_lines)
-                continue
             result = self._dispatch(
                 shard, sub_lines, want_decisions=False, block=False
             )
@@ -723,15 +701,8 @@ class ShardedAdvisorService:
         results: list = [None] * len(lines)
         if not lines:
             return results
-        partition = self._partition(lines)
-        if not self.worker_mode:
-            for shard, (positions, sub_lines) in partition:
-                decisions = self._inline[shard].ingest_lines(sub_lines)
-                for position, decision in zip(positions, decisions):
-                    results[position] = decision
-            return results
         waiting = []
-        for shard, (positions, sub_lines) in partition:
+        for shard, (positions, sub_lines) in self._partition(lines):
             chunk_id = self._dispatch(
                 shard, sub_lines, want_decisions=True, block=True
             )
@@ -759,8 +730,6 @@ class ShardedAdvisorService:
 
     def drain(self, timeout: float | None = None) -> None:
         """Block until every dispatched chunk has been acknowledged."""
-        if not self.worker_mode:
-            return
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._wake:
             while any(self._in_flight[index] for index in range(self.shards)):
@@ -935,26 +904,14 @@ class ShardedAdvisorService:
         Latency is dispatch-to-worker-ack wall time — the worst case an
         event in the chunk waited for its decision (queueing included).
         """
-        if not self.worker_mode:
-            return []
         with self._lock:
             latencies, self._latencies = self._latencies, []
         return latencies
 
     def digests(self, timeout: float | None = None) -> dict[str, str]:
         """Per-vehicle ``state_digest()`` across the whole fleet, sorted."""
-        if self.worker_mode:
-            parts = self._control("digests", timeout=timeout)
-        else:
-            parts = [
-                {
-                    vehicle_id: session.state_digest()
-                    for vehicle_id, session in sorted(service.sessions.items())
-                }
-                for service in self._inline
-            ]
         merged: dict[str, str] = {}
-        for part in parts:
+        for part in self._control("digests", timeout=timeout):
             merged.update(part)
         return dict(sorted(merged.items()))
 
@@ -975,14 +932,7 @@ class ShardedAdvisorService:
         ``None`` health fields — its worker is gone, so its session
         state is unreadable, but the fleet snapshot must still answer.
         """
-        if self.worker_mode:
-            snapshots = self._control("health", include_vehicles, timeout=timeout)
-        else:
-            snapshots = []
-            for service in self._inline:
-                snapshot = service.health_snapshot(include_vehicles=include_vehicles)
-                snapshot["vehicle_count"] = len(service.sessions)
-                snapshots.append(snapshot)
+        snapshots = self._control("health", include_vehicles, timeout=timeout)
         live = [snapshot for snapshot in snapshots if snapshot is not None]
         vehicles: dict = {}
         for snapshot in live:
@@ -1035,21 +985,20 @@ class ShardedAdvisorService:
                     "shed": snapshot["ingest"]["shed"],
                     "tier_shed": self.shed_by_shard[index],
                 }
-            if self.worker_mode:
-                process = self._procs[index]
-                with self._lock:
-                    row.update(
-                        pid=None if process is None else process.pid,
-                        alive=process is not None and process.is_alive(),
-                        restarts=self.restarts[index],
-                        hangs=self.hangs[index],
-                        consecutive_crashes=self._consecutive_crashes[index],
-                        breaker_open=index in self.breaker_open,
-                        breaker_shed=self.breaker_shed_by_shard[index],
-                        chunks_acked=self._acked_chunks[index],
-                        events_acked=self._acked_events[index],
-                        in_flight=len(self._in_flight[index]),
-                    )
+            process = self._procs[index]
+            with self._lock:
+                row.update(
+                    pid=_worker_pid(process),
+                    alive=process is not None and process.is_alive(),
+                    restarts=self.restarts[index],
+                    hangs=self.hangs[index],
+                    consecutive_crashes=self._consecutive_crashes[index],
+                    breaker_open=index in self.breaker_open,
+                    breaker_shed=self.breaker_shed_by_shard[index],
+                    chunks_acked=self._acked_chunks[index],
+                    events_acked=self._acked_events[index],
+                    in_flight=len(self._in_flight[index]),
+                )
             shard_rows.append(row)
         return {
             "fleet_cost": fleet_cost,
@@ -1120,13 +1069,6 @@ class ShardedAdvisorService:
         can tell a crash loop from a full disk.
         """
         reasons: list[str] = []
-        if not self.worker_mode:
-            for index, service in enumerate(self._inline):
-                verdict = service.readiness()
-                reasons.extend(
-                    f"shard {index}: {reason}" for reason in verdict["reasons"]
-                )
-            return gate_on_replication(self.replication, reasons)
         with self._lock:
             if self._errors:
                 reasons.append("worker error (see service logs)")
@@ -1169,7 +1111,8 @@ class ShardedAdvisorService:
     def _spawn(self, shard: int) -> None:
         commands = self._context.Queue(self.queue_depth)
         parent_conn, child_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
+        transport = self._context.Process if self.worker_mode else threading.Thread
+        process = transport(
             target=_shard_worker,
             args=(
                 shard,
@@ -1187,7 +1130,9 @@ class ShardedAdvisorService:
             daemon=True,
         )
         process.start()
-        child_conn.close()
+        if self.worker_mode:
+            # The child holds its own copy; a thread shares this one.
+            child_conn.close()
         self._commands[shard] = commands
         self._pipes[shard] = parent_conn
         self._procs[shard] = process
@@ -1288,9 +1233,10 @@ class ShardedAdvisorService:
         so silence while busy past ``hang_timeout`` means the worker is
         deadlocked, SIGSTOPped, or livelocked and will never ack.  The
         kill turns the hang into an ordinary worker death: the normal
-        reap/respawn/redeliver machinery takes it from there.
+        reap/respawn/redeliver machinery takes it from there.  A thread
+        worker cannot be killed, so in-process tiers skip the check.
         """
-        if self.hang_timeout is None:
+        if self.hang_timeout is None or not self.worker_mode:
             return
         now = time.monotonic()
         ledger = active_ledger() or self._ledger
@@ -1384,6 +1330,8 @@ class ShardedAdvisorService:
             self._death_noted.add(shard)
             if shard in self._failed:
                 return False  # the drain surfaced a reported error
+            if shard in self._stopped and shard in self._stop_sent:
+                return False  # the drain surfaced the stop close() asked for
             if shard in self._stopped:
                 # A clean SIGTERM exit we did NOT ask for is the drain/
                 # handoff path: state is flushed, hand the shard to a
@@ -1441,7 +1389,7 @@ class ShardedAdvisorService:
                 "shard": shard,
                 "crashes": crashes,
                 "events": events,
-                "worker_pid": None if process is None else process.pid,
+                "worker_pid": _worker_pid(process),
                 "restarts": self.restarts[shard],
                 "lines": list(command[2]),
             }
@@ -1533,7 +1481,7 @@ class ShardedAdvisorService:
                     if owner == shard
                 )
                 stop_again = shard in self._stop_sent
-                pid = self._procs[shard].pid
+                pid = _worker_pid(self._procs[shard])
             ledger = active_ledger() or self._ledger
             if ledger is not None:
                 ledger.emit(
@@ -1579,12 +1527,6 @@ class ShardedAdvisorService:
         have no worker to stop — they count as already down (their last
         crash-recovery worker flushed whatever state survived).
         """
-        if not self.worker_mode:
-            if not self._closed:
-                self._closed = True
-                for service in self._inline:
-                    service.close()
-            return
         with self._lock:
             if self._shutdown:
                 return
@@ -1615,7 +1557,8 @@ class ShardedAdvisorService:
             if process is None:
                 continue
             process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - last-resort teardown
+            # Last-resort teardown; a thread worker cannot be terminated.
+            if process.is_alive() and _worker_pid(process) is not None:  # pragma: no cover
                 process.terminate()
                 process.join(timeout=5.0)
             self._pipes[shard].close()

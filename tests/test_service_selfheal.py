@@ -24,6 +24,7 @@ import contextlib
 import errno
 import json
 import os
+import re
 import stat
 import threading
 import time
@@ -443,22 +444,30 @@ def test_ready_endpoint_503_when_not_ready_or_probe_raises(tmp_path):
     assert response.partition(b"\r\n\r\n")[0].startswith(b"HTTP/1.0 200")
 
 
-def test_inline_tier_readiness_reflects_suspended_sessions(tmp_path):
-    service = ShardedAdvisorService(
-        tmp_path, CONFIG, shards=2, workers=False
-    )
+def test_inline_tier_readiness_reflects_suspended_sessions(tmp_path, monkeypatch):
+    """A full disk under an in-process worker reaches /ready through the
+    worker's health reply, naming the shard and its suspended sessions."""
+    events = [json.dumps(record) for record in _events(vehicles=4, stops=6)]
+    service = ShardedAdvisorService(tmp_path, CONFIG, shards=2, workers=False)
     try:
-        service.submit_lines(
-            [json.dumps(record) for record in _events(vehicles=2, stops=3)]
-        )
+        service.submit_lines(events[:8])
+        service.drain()
         assert service.readiness() == {"ready": True, "reasons": []}
-        session = next(iter(service._inline[0].sessions.values()), None) or next(
-            iter(service._inline[1].sessions.values())
-        )
-        session._suspend(OSError(errno.ENOSPC, "injected"), "wal-append")
-        verdict = service.readiness()
+
+        def full_disk(self, records):
+            raise OSError(errno.ENOSPC, "injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WriteAheadLog, "append_many", full_disk)
+            service.submit_lines(events[8:])
+            service.drain()
+            verdict = service.readiness()
         assert not verdict["ready"]
-        assert any("durability suspended" in reason for reason in verdict["reasons"])
+        assert verdict["reasons"]
+        for reason in verdict["reasons"]:
+            assert re.fullmatch(
+                r"shard [01]: durability suspended on [1-9]\d* session\(s\)", reason
+            ), reason
     finally:
         service.close()
 

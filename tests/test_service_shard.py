@@ -7,8 +7,10 @@ stream, ANY shard count and ANY chunking, the decisions and per-vehicle
 are identical to the single-process :class:`AdvisorService` run —
 sharding is a pure partition, never a behavior change.  Stated as a
 Hypothesis property over adversarial multi-vehicle streams (malformed
-records included) in inline mode, and pinned against real worker
-processes by the smoke/chaos tests (SIGKILL + restart marked ``slow``).
+records included) over in-process shards (``workers=False``): worker
+threads that run the same worker loop, acks and stop handshake as
+worker processes.  Pinned against real worker processes by the
+smoke/chaos tests (SIGKILL + restart marked ``slow``).
 """
 
 import asyncio
@@ -170,14 +172,17 @@ def test_sharding_is_a_pure_partition(tmp_path_factory, case):
     snap_single = single.health_snapshot()
     single.close()
 
-    sharded = ShardedAdvisorService(
-        tmp / "sharded", CONFIG, shards=shards, workers=False
-    )
+    ledger = RunLedger()
+    with use_ledger(ledger):
+        sharded = ShardedAdvisorService(
+            tmp / "sharded", CONFIG, shards=shards, workers=False
+        )
     decisions_sharded = []
     for chunk in _chunks(lines, sizes):
         decisions_sharded.extend(sharded.request_lines(chunk))
     digests_sharded = sharded.digests()
     snap_sharded = sharded.health_snapshot(include_vehicles=True)
+    latencies = sharded.take_latencies()
     sharded.close()
 
     assert decisions_sharded == decisions_single
@@ -186,6 +191,16 @@ def test_sharding_is_a_pure_partition(tmp_path_factory, case):
     for counter in ("received", "malformed", "duplicates", "rejected"):
         assert snap_sharded["ingest"][counter] == snap_single["ingest"][counter]
     assert snap_sharded["states"] == snap_single["states"]
+    # The in-process transport runs the real worker loop: every routed
+    # event was acked, and each ack left a latency sample.
+    assert (
+        sum(row["events_acked"] for row in snap_sharded["shards"])
+        == snap_sharded["routing"]["dispatched_events"]
+    )
+    assert bool(latencies) == bool(lines)
+    # close() stops each worker; a requested stop is never a handoff.
+    assert sharded.restarts == [0] * shards
+    assert not [r for r in ledger.events if r["event"] == "shard-restart"]
 
 
 # -- shard state-dir locks ------------------------------------------------
@@ -406,6 +421,48 @@ def test_process_mode_matches_single_and_recovers_warm(tmp_path):
     finally:
         service.close()
 
+    # Both transports leave the same per-shard files, vehicles.idx included.
+    threads = ShardedAdvisorService(
+        tmp_path / "threads", CONFIG, shards=2, fsync=True, workers=False
+    )
+    try:
+        threads.request_lines(lines)
+    finally:
+        threads.close()
+    assert _layout(tmp_path / "threads") == _layout(tmp_path / "fleet")
+    assert len(list((tmp_path / "fleet").glob("shard-*/vehicles.idx"))) == 2
+
+
+def _layout(root):
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+def test_in_process_tier_recovers_warm(tmp_path):
+    """A reopened in-process tier warm-recovers every session from its
+    per-shard vehicles.idx, with no traffic redelivered."""
+    events = build_fleet_events(vehicles=3, stops_per_vehicle=8, seed=23)
+    lines = [json.dumps(event) for event in events]
+    _, digests_single, _cost = _single_reference(tmp_path, lines)
+
+    service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=3, workers=False)
+    try:
+        service.submit_lines(lines)
+        service.drain()
+        before = service.digests()
+    finally:
+        service.close()
+    assert before == digests_single
+    assert len(before) == 3
+    for shard in range(3):
+        assert (tmp_path / "fleet" / f"shard-{shard:02d}" / "vehicles.idx").exists()
+
+    service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=3, workers=False)
+    try:
+        assert service.digests() == before
+        assert service.health_snapshot()["routing"]["dispatched_events"] == 0
+    finally:
+        service.close()
+
 
 @pytest.mark.slow
 def test_worker_sigkill_chaos_recovers_bit_identically(tmp_path):
@@ -459,7 +516,7 @@ def test_parse_listen_specs():
 
 def test_frontend_socket_decisions_and_health(tmp_path):
     """JSONL in, one JSON decision per line out, /health over the same
-    socket — against an inline sharded service (no worker processes)."""
+    socket — against an in-process sharded service (worker threads)."""
     events = build_fleet_events(vehicles=3, stops_per_vehicle=6, seed=33)
     lines = [json.dumps(event) for event in events]
     decisions_single, digests_single, _cost = _single_reference(tmp_path, lines)
