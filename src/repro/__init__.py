@@ -27,25 +27,33 @@ True
 True
 """
 
-from .constants import B_CONVENTIONAL, B_SSV, E_RATIO
-from .core import (
-    BDet,
-    ConstrainedSkiRentalSolver,
-    Deterministic,
-    MOMRand,
-    NeverOff,
-    NRand,
-    ProposedOnline,
-    StopStatistics,
-    Strategy,
-    TurnOffImmediately,
-    competitive_ratio,
-    empirical_cr,
-    expected_cr,
-    offline_cost,
-    online_cost,
-)
-from .errors import ReproError
+from ._lazy import lazy_exports
+
+#: Submodule -> the names it exports, each imported on first access
+#: (see :mod:`repro._lazy`).
+_EXPORTS = {
+    ".constants": ("B_CONVENTIONAL", "B_SSV", "E_RATIO"),
+    ".core": (
+        "BDet",
+        "ConstrainedSkiRentalSolver",
+        "Deterministic",
+        "MOMRand",
+        "NeverOff",
+        "NRand",
+        "ProposedOnline",
+        "StopStatistics",
+        "Strategy",
+        "TurnOffImmediately",
+        "competitive_ratio",
+        "empirical_cr",
+        "expected_cr",
+        "offline_cost",
+        "online_cost",
+    ),
+    ".errors": ("ReproError",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

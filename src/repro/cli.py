@@ -62,10 +62,8 @@ from pathlib import Path
 import numpy as np
 
 from .constants import B_SSV
-from .core import ConstrainedSkiRentalSolver, StopStatistics
-from .engine import ResultCache, RunLedger, get_default_jobs, use_ledger
+from .engine import RunLedger, use_ledger
 from .errors import ReproError
-from .experiments import EXPERIMENTS, cached_run, format_table
 from .validation import Policy
 
 _POLICY_CHOICES = tuple(member.value for member in Policy)
@@ -89,6 +87,8 @@ _FAST_PARAMS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments import EXPERIMENTS  # the ids only; no experiment is imported
+
     parser = argparse.ArgumentParser(
         prog="repro-idling",
         description=(
@@ -762,6 +762,9 @@ def _parse_stops(spec: str, policy: str = "strict") -> np.ndarray:
 
 
 def _run_and_report(experiment_id: str, args, ledger: RunLedger | None = None) -> None:
+    from .engine import get_default_jobs
+    from .experiments import cached_run, format_table
+
     jobs = args.jobs if args.jobs is not None else get_default_jobs()
     params = _experiment_params(experiment_id, args)
     use_cache = not args.no_cache
@@ -784,6 +787,8 @@ def _run_and_report(experiment_id: str, args, ledger: RunLedger | None = None) -
 
 
 def _cache(args) -> None:
+    from .engine import ResultCache
+
     cache = ResultCache()
     if args.action == "clear":
         removed = cache.clear()
@@ -844,6 +849,8 @@ def _warn_break_even(break_even: float) -> None:
 
 
 def _advise(args) -> None:
+    from .core import ConstrainedSkiRentalSolver, StopStatistics
+
     _warn_break_even(args.break_even)
     stops = _parse_stops(args.stops, args.policy)
     stats = StopStatistics.from_samples(stops, args.break_even)
@@ -1095,6 +1102,7 @@ def _serve(args) -> int:
     """``serve``: stream JSONL stop events through the advisor service."""
     import json
 
+    from .experiments import format_table
     from .service import AdvisorService
     from .service.session import SessionConfig
 
@@ -1231,6 +1239,7 @@ def _serve_sharded(args, config) -> int:
     """
     import json
 
+    from .experiments import format_table
     from .service.frontend import JsonlFrontend
     from .service.shard import ShardedAdvisorService
 
@@ -1345,6 +1354,7 @@ def _ledger_summary(args) -> int:
     from collections import Counter
 
     from .engine import read_ledger
+    from .experiments import format_table
 
     records = read_ledger(args.path)
     print(f"{args.path}: {len(records)} record(s)")
@@ -1539,6 +1549,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "list":
+            from .experiments import EXPERIMENTS
+
             for experiment_id in sorted(EXPERIMENTS):
                 print(experiment_id)
         elif args.command == "run":
@@ -1547,6 +1559,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "all":
             # One ledger spans the whole batch (a single JSONL record of
             # the run), created before the first experiment starts.
+            from .experiments import EXPERIMENTS
+
             ledger = RunLedger(args.ledger) if args.ledger is not None else None
             for experiment_id in sorted(EXPERIMENTS):
                 _run_and_report(experiment_id, args, ledger)

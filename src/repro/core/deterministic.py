@@ -109,7 +109,8 @@ def b_det_condition_holds(stats: StopStatistics) -> bool:
         # (1 - q)^2 / q = 0 and mu_B_minus must be 0 by feasibility; the
         # strict inequality fails, so b-DET is inadmissible.
         return False
-    return stats.normalized_mu < (1.0 - stats.q_b_plus) ** 2 / stats.q_b_plus
+    complement = 1.0 - stats.q_b_plus
+    return stats.normalized_mu < complement * complement / stats.q_b_plus
 
 
 def b_det_worst_case_cost(stats: StopStatistics) -> float:
@@ -122,10 +123,11 @@ def b_det_worst_case_cost(stats: StopStatistics) -> float:
     """
     if not b_det_condition_holds(stats):
         return math.inf
-    return (
-        math.sqrt(stats.mu_b_minus)
-        + math.sqrt(stats.q_b_plus * stats.break_even)
-    ) ** 2
+    # Squared by a multiply, not ``** 2``: libm's pow is not correctly
+    # rounded for every input, and the batched select_vertices kernel
+    # must reproduce this float exactly.
+    root = math.sqrt(stats.mu_b_minus) + math.sqrt(stats.q_b_plus * stats.break_even)
+    return root * root
 
 
 class BDet(DeterministicThresholdStrategy):

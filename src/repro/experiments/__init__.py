@@ -15,20 +15,10 @@ code version, so repeated invocations skip recomputation entirely.
 
 from __future__ import annotations
 
+import importlib
 import time
+from collections.abc import MutableMapping
 
-from . import (
-    appendix_c,
-    fig1,
-    fig2,
-    fig3,
-    fig4,
-    holdout_fig4,
-    improved,
-    seeds,
-    sweeps,
-    table1,
-)
 from ..engine.cache import ResultCache, cache_key
 from ..engine.instrument import StageTiming
 from ..engine.ledger import active_ledger
@@ -43,21 +33,56 @@ __all__ = [
     "cached_run",
 ]
 
-#: Registry: experiment id -> run callable.
-EXPERIMENTS = {
-    "fig1": fig1.run,
-    "fig2": fig2.run,
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig5": sweeps.run_fig5,
-    "fig6": sweeps.run_fig6,
-    "table1": table1.run,
-    "appc": appendix_c.run,
+
+class _Registry(MutableMapping):
+    """Experiment id -> run callable, importing an experiment's module
+    only when its callable is first looked up.
+
+    Listing the ids (``sorted(EXPERIMENTS)``, ``id in EXPERIMENTS``)
+    imports nothing, so the CLI can offer them as choices without
+    loading any experiment or scipy.
+    """
+
+    def __init__(self, table: dict[str, tuple[str, str]]) -> None:
+        # id -> (submodule, attribute) until first lookup, then the callable
+        self._entries: dict = dict(table)
+
+    def __getitem__(self, experiment_id: str):
+        entry = self._entries[experiment_id]
+        if isinstance(entry, tuple):
+            module, name = entry
+            entry = getattr(importlib.import_module(module, __name__), name)
+            self._entries[experiment_id] = entry
+        return entry
+
+    def __setitem__(self, experiment_id: str, run) -> None:
+        self._entries[experiment_id] = run
+
+    def __delitem__(self, experiment_id: str) -> None:
+        del self._entries[experiment_id]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: Registry: experiment id -> run callable (see :class:`_Registry`).
+EXPERIMENTS = _Registry({
+    "fig1": (".fig1", "run"),
+    "fig2": (".fig2", "run"),
+    "fig3": (".fig3", "run"),
+    "fig4": (".fig4", "run"),
+    "fig5": (".sweeps", "run_fig5"),
+    "fig6": (".sweeps", "run_fig6"),
+    "table1": (".table1", "run"),
+    "appc": (".appendix_c", "run"),
     # not paper artifacts: the reproduction's own studies
-    "improved": improved.run,
-    "holdout": holdout_fig4.run,
-    "seeds": seeds.run,
-}
+    "improved": (".improved", "run"),
+    "holdout": (".holdout_fig4", "run"),
+    "seeds": (".seeds", "run"),
+})
 
 
 def run_experiment(experiment_id: str, **params) -> ExperimentResult:

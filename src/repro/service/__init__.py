@@ -35,42 +35,59 @@ See ``docs/serving.md`` for the state machine, the durability
 guarantees, and the degradation ladder's competitive-ratio bounds.
 """
 
-# NOTE: repro.service.soak is deliberately not imported here — it is
-# runnable as ``python -m repro.service.soak`` and importing it from the
-# package __init__ would shadow that execution (runpy warns).
-from .advisor import AdvisorService, RegisteredAdvisorService, parse_event_line
-from .augmented import (
-    AugmentedAdvisorSession,
-    AugmentedSessionConfig,
-    ConstantPredictor,
-    ContextualPredictor,
-    TrustLearner,
-    build_predictor,
-)
-from .drift import DriftDetector, PageHinkley
-from .frontend import JsonlFrontend, parse_listen
-from .replica import (
-    LocalReplicaTarget,
-    RemoteReplicaTarget,
-    ReplicaServer,
-    ReplicationError,
-    ReplicationMonitor,
-    backup,
-    fleet_doctor,
-    promote,
-    replicate,
-    restore,
-    sweep_state_dir,
-    sync_once,
-)
-from .session import AdvisorSession, HealthState, SessionConfig, vehicle_seed
-from .shard import (
-    HashRing,
-    ShardedAdvisorService,
-    ShardLockError,
-    sweep_stale_shard_locks,
-)
-from .wal import SnapshotStore, WalCorruptionError, WriteAheadLog
+# NOTE: repro.service.soak is deliberately not in this table — it is
+# runnable as ``python -m repro.service.soak``, and its names are not
+# part of the package surface.
+from .._lazy import lazy_exports
+
+#: Submodule -> the names it exports, each imported on first access
+#: (see :mod:`repro._lazy`).
+_EXPORTS = {
+    ".advisor": (
+        "AdvisorService",
+        "RegisteredAdvisorService",
+        "parse_event_line",
+    ),
+    ".augmented": (
+        "AugmentedAdvisorSession",
+        "AugmentedSessionConfig",
+        "ConstantPredictor",
+        "ContextualPredictor",
+        "TrustLearner",
+        "build_predictor",
+    ),
+    ".drift": ("DriftDetector", "PageHinkley"),
+    ".frontend": ("JsonlFrontend", "parse_listen"),
+    ".replica": (
+        "LocalReplicaTarget",
+        "RemoteReplicaTarget",
+        "ReplicaServer",
+        "ReplicationError",
+        "ReplicationMonitor",
+        "backup",
+        "fleet_doctor",
+        "promote",
+        "replicate",
+        "restore",
+        "sweep_state_dir",
+        "sync_once",
+    ),
+    ".session": (
+        "AdvisorSession",
+        "HealthState",
+        "SessionConfig",
+        "vehicle_seed",
+    ),
+    ".shard": (
+        "HashRing",
+        "ShardedAdvisorService",
+        "ShardLockError",
+        "sweep_stale_shard_locks",
+    ),
+    ".wal": ("SnapshotStore", "WalCorruptionError", "WriteAheadLog"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AdvisorService",

@@ -70,6 +70,10 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+# Every session draws from np.random.default_rng; numpy 2 imports the
+# submodule on first attribute access, which would put it inside the
+# first session's creation instead of the import.
+import numpy.random  # noqa: F401
 
 from ..constants import E
 from ..core.adaptive import RENORM_FLUSH, RENORM_INTERVAL, AdaptiveProposed
@@ -80,7 +84,7 @@ from ..core.randomized import NRand
 from ..core.strategy import DeterministicThresholdStrategy
 from ..errors import DegenerateStatisticsError, InvalidParameterError
 from ..engine.ledger import active_ledger
-from ..simulation.controller import StopStartController
+from ..simulation.controller import resolve_stop
 from ..validation import PolicyEnforcer
 from .drift import DriftDetector
 from .wal import SNAPSHOT_NAME, WAL_NAME, SnapshotStore, WriteAheadLog
@@ -251,7 +255,6 @@ class AdvisorSession:
             if config.safe_strategy == "nrand"
             else Deterministic(config.break_even)
         )
-        self._controller = StopStartController(self._fallback)
         self._wal: WriteAheadLog | None = None
         self._snapshots: SnapshotStore | None = None
         if state_dir is not None:
@@ -282,10 +285,15 @@ class AdvisorSession:
         self.duplicates = 0
         self.rejected = 0
         self.last_timestamp: float | None = None
-        self.transitions: deque = deque(maxlen=TRANSITION_HISTORY)
+        # the deque is created by the first transition; most sessions see none
+        self.transitions: deque | tuple = ()
         self._recent_stops: deque = deque(maxlen=config.recent_window)
         self._recent_ids: deque = deque(maxlen=config.dedup_window)
-        self._recent_id_set: set[str] = set()
+        # Membership of _recent_ids, as dict keys: under the window's
+        # churn a set keeps its dummies and grows 4x per resize (128 KB
+        # for 1024 ids), while a dict compacts its entries on resize
+        # (about 50 KB).
+        self._recent_id_set: dict[str, None] = {}
         self.estimator = AdaptiveProposed(
             config.break_even, config.min_samples, decay=config.healthy_decay
         )
@@ -297,8 +305,9 @@ class AdvisorSession:
         self.suspensions = 0
         self.resumes = 0
         self.suspend_dropped = 0
-        self._suspend_buffer: deque = deque()
-        self._suspend_ids: set[str] = set()
+        # event_id -> (timestamp, stop_length), in arrival order: the
+        # bounded replay tail and its dedup set in one structure
+        self._suspend_buffer: dict[str, tuple[float, float]] = {}
         self._suspend_rng = None
         self._suspend_seen = 0
         self._probe_backoff = 1
@@ -456,7 +465,7 @@ class AdvisorSession:
         whose guarantee needs no estimator and no durable state.
         """
         self._suspend_seen += 1
-        if event_id in self._recent_id_set or event_id in self._suspend_ids:
+        if event_id in self._recent_id_set or event_id in self._suspend_buffer:
             self.duplicates += 1
             return None
         try:
@@ -472,8 +481,7 @@ class AdvisorSession:
             # producer had shed them.
             self.suspend_dropped += 1
         else:
-            self._suspend_buffer.append((event_id, timestamp, stop_length))
-            self._suspend_ids.add(event_id)
+            self._suspend_buffer[event_id] = (timestamp, stop_length)
         return self._suspended_decision(event_id, stop_length)
 
     def _suspended_decision(self, event_id: str, stop_length: float):
@@ -487,7 +495,7 @@ class AdvisorSession:
                 vehicle_seed(self.config.seed, self.vehicle_id + "\x00durability")
             )
         threshold = self._fallback.draw_threshold(self._suspend_rng)
-        decision = self._controller.apply(stop_length, threshold)
+        decision = resolve_stop(stop_length, threshold)
         return {
             "vehicle": self.vehicle_id,
             "id": event_id,
@@ -551,20 +559,16 @@ class AdvisorSession:
         self.compact()
         if self.durability_suspended:
             return False  # the snapshot publish found the disk sick again
-        buffered = list(self._suspend_buffer)
-        self._suspend_buffer.clear()
-        self._suspend_ids.clear()
-        for position, event in enumerate(buffered):
-            self.submit(*event)
+        buffered = list(self._suspend_buffer.items())
+        self._suspend_buffer = {}
+        for position, (event_id, (timestamp, stop_length)) in enumerate(buffered):
+            self.submit(event_id, timestamp, stop_length)
             if self.durability_suspended:
-                for event_id, timestamp, stop_length in buffered[position + 1:]:
+                for later_id, event in buffered[position + 1:]:
                     if len(self._suspend_buffer) >= self.config.suspend_buffer:
                         self.suspend_dropped += 1
                     else:
-                        self._suspend_buffer.append(
-                            (event_id, timestamp, stop_length)
-                        )
-                        self._suspend_ids.add(event_id)
+                        self._suspend_buffer[later_id] = event
                 return False
         self.resumes += 1
         self.suspend_reason = None
@@ -975,7 +979,7 @@ class AdvisorSession:
 
     def _finish(self, staged: dict, threshold: float) -> dict:
         """Resolve one staged event against its drawn threshold."""
-        decision = self._controller.apply(staged["y"], threshold)
+        decision = resolve_stop(staged["y"], threshold)
         cost = decision.total_cost(self.config.break_even)
         self.total_cost += cost
         return {
@@ -1004,9 +1008,9 @@ class AdvisorSession:
 
     def _remember_id(self, event_id: str) -> None:
         if len(self._recent_ids) == self._recent_ids.maxlen:
-            self._recent_id_set.discard(self._recent_ids[0])
+            self._recent_id_set.pop(self._recent_ids[0], None)
         self._recent_ids.append(event_id)
-        self._recent_id_set.add(event_id)
+        self._recent_id_set[event_id] = None
 
     # -- the state machine ------------------------------------------------
 
@@ -1044,6 +1048,8 @@ class AdvisorSession:
         self.health = to
         self.clean_streak = 0
         self.drift.reset()
+        if not self.transitions:
+            self.transitions = deque(maxlen=TRANSITION_HISTORY)
         self.transitions.append(record)
         self._transitions_seen += 1
         if to is HealthState.DEGRADED:
@@ -1127,7 +1133,11 @@ class AdvisorSession:
         self.rejected = int(state["rejected"])
         timestamp = state["last_timestamp"]
         self.last_timestamp = None if timestamp is None else float(timestamp)
-        self.transitions = deque(state["transitions"], maxlen=TRANSITION_HISTORY)
+        self.transitions = (
+            deque(state["transitions"], maxlen=TRANSITION_HISTORY)
+            if state["transitions"]
+            else ()
+        )
         self._recent_stops = deque(
             (float(y) for y in state["recent_stops"]),
             maxlen=self.config.recent_window,
@@ -1135,7 +1145,7 @@ class AdvisorSession:
         self._recent_ids = deque(
             (str(i) for i in state["recent_ids"]), maxlen=self.config.dedup_window
         )
-        self._recent_id_set = set(self._recent_ids)
+        self._recent_id_set = dict.fromkeys(self._recent_ids)
         self.estimator = AdaptiveProposed.from_state(state["estimator"])
         self.rng = np.random.default_rng(0)
         self.rng.bit_generator.state = state["rng"]

@@ -43,7 +43,7 @@ SNAPSHOT_NAME = "snapshot.json"
 DELTA_NAME = SNAPSHOT_NAME + ".delta"
 
 
-def _fsync_dir(path: Path) -> None:
+def _fsync_dir(path: str | Path) -> None:
     """Fsync a directory so a just-created or just-renamed entry survives
     an OS crash — ``fsync`` of the file alone durably stores its *bytes*
     but not the directory entry naming them.  Best-effort: directories
@@ -60,6 +60,15 @@ def _fsync_dir(path: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def _parent(path: str) -> str:
+    return os.path.dirname(path) or "."
+
+
+def _read_text(path: str) -> str:
+    with open(path) as handle:
+        return handle.read()
 
 
 class WalCorruptionError(ReproError, RuntimeError):
@@ -136,7 +145,9 @@ class WriteAheadLog:
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = False, fs=None) -> None:
-        self.path = Path(path)
+        # Kept as a str (a Path is several times larger, and every
+        # session holds one log); :attr:`path` derives the Path.
+        self._path = os.fspath(path)
         self.fsync = bool(fsync)
         self.fs = fs
         #: True when the last :meth:`replay` dropped a torn final frame;
@@ -147,11 +158,15 @@ class WriteAheadLog:
         # once its parent directory is synced; done lazily on the first
         # fsync'd append rather than here (creation may predate fsync).
         self._dir_synced = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(_parent(self._path), exist_ok=True)
+
+    @property
+    def path(self) -> Path:
+        return Path(self._path)
 
     def _check(self, op: str) -> None:
         if self.fs is not None:
-            self.fs.check(op, self.path)
+            self.fs.check(op, self._path)
 
     def probe(self) -> None:
         """One cheap disk-health probe: open-append + flush (+ fsync when
@@ -161,7 +176,7 @@ class WriteAheadLog:
         backoff schedule before attempting to replay the buffered tail.
         """
         self._check("wal-probe")
-        with open(self.path, "ab") as handle:
+        with open(self._path, "ab") as handle:
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
@@ -176,7 +191,7 @@ class WriteAheadLog:
         truncated away (it was never durable).
         """
         self._check("wal-append")
-        with open(self.path, "a+b") as handle:
+        with open(self._path, "a+b") as handle:
             size = handle.seek(0, os.SEEK_END)
             if size:
                 handle.seek(size - 1)
@@ -201,7 +216,7 @@ class WriteAheadLog:
         Only reached under ``fsync=True``: without it nothing here
         claims OS-crash durability anyway."""
         if not self._dir_synced:
-            _fsync_dir(self.path.parent)
+            _fsync_dir(_parent(self._path))
             self._dir_synced = True
 
     def append_many(self, records: list[dict]) -> None:
@@ -221,7 +236,7 @@ class WriteAheadLog:
         if not records:
             return
         self._check("wal-append")
-        with open(self.path, "a+b") as handle:
+        with open(self._path, "a+b") as handle:
             size = handle.seek(0, os.SEEK_END)
             if size:
                 handle.seek(size - 1)
@@ -251,9 +266,9 @@ class WriteAheadLog:
         :class:`WalCorruptionError`.
         """
         self.tail_torn = False
-        if not self.path.exists():
+        if not os.path.exists(self._path):
             return []
-        lines = self.path.read_text().splitlines()
+        lines = _read_text(self._path).splitlines()
         records: list[dict] = []
         for index, line in enumerate(lines):
             if not line:
@@ -264,7 +279,7 @@ class WriteAheadLog:
                     self.tail_torn = True
                     break
                 raise WalCorruptionError(
-                    f"{self.path}: bad frame at line {index + 1} "
+                    f"{self._path}: bad frame at line {index + 1} "
                     f"(not the final line — corruption, not a torn tail)"
                 )
             records.append(record)
@@ -286,9 +301,9 @@ class WriteAheadLog:
         are never shipped (none are written by the session today).
         """
         self.tail_torn = False
-        if not self.path.exists():
+        if not os.path.exists(self._path):
             return
-        lines = self.path.read_text().splitlines()
+        lines = _read_text(self._path).splitlines()
         for index, line in enumerate(lines):
             if not line:
                 continue
@@ -298,7 +313,7 @@ class WriteAheadLog:
                     self.tail_torn = True
                     return
                 raise WalCorruptionError(
-                    f"{self.path}: bad frame at line {index + 1} "
+                    f"{self._path}: bad frame at line {index + 1} "
                     f"(not the final line — corruption, not a torn tail)"
                 )
             seq = record.get("seq")
@@ -319,11 +334,12 @@ class WriteAheadLog:
         the full old log or an empty one — never a half-truncated file.
         """
         self._check("wal-reset")
-        tmp = self.path.with_name(self.path.name + f".tmp{os.getpid()}")
-        tmp.write_text("")
-        os.replace(tmp, self.path)
+        tmp = f"{self._path}.tmp{os.getpid()}"
+        with open(tmp, "w"):
+            pass
+        os.replace(tmp, self._path)
         if self.fsync:
-            _fsync_dir(self.path.parent)
+            _fsync_dir(_parent(self._path))
 
 
 class SnapshotStore:
@@ -344,17 +360,26 @@ class SnapshotStore:
     """
 
     def __init__(self, path: str | Path, *, fsync: bool = False, fs=None) -> None:
-        self.path = Path(path)
-        self.delta_path = self.path.with_name(self.path.name + ".delta")
+        # A str, like WriteAheadLog's; :attr:`path` and :attr:`delta_path`
+        # derive Paths.
+        self._path = os.fspath(path)
         self.fsync = bool(fsync)
         self.fs = fs
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(_parent(self._path), exist_ok=True)
 
-    def _publish(self, path: Path, body: str) -> None:
+    @property
+    def path(self) -> Path:
+        return Path(self._path)
+
+    @property
+    def delta_path(self) -> Path:
+        return Path(self._path + ".delta")
+
+    def _publish(self, path: str, body: str) -> None:
         if self.fs is not None:
             self.fs.check("snapshot-publish", path)
         payload = f"{zlib.crc32(body.encode()):08x} {body}"
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+        tmp = f"{path}.tmp{os.getpid()}"
         with open(tmp, "w") as handle:
             handle.write(payload)
             handle.flush()
@@ -365,7 +390,7 @@ class SnapshotStore:
         # fsync an OS crash can revert the publish even though the new
         # snapshot's bytes are safely on disk.
         if self.fsync:
-            _fsync_dir(path.parent)
+            _fsync_dir(_parent(path))
 
     def save(self, seq: int, state: dict) -> None:
         """Publish ``state`` as the full snapshot after ``seq`` events.
@@ -378,9 +403,9 @@ class SnapshotStore:
         body = json.dumps(
             {"seq": int(seq), "state": state}, sort_keys=True, allow_nan=False
         )
-        self._publish(self.path, body)
+        self._publish(self._path, body)
         try:
-            os.unlink(self.delta_path)
+            os.unlink(self._path + ".delta")
         except FileNotFoundError:
             pass
 
@@ -401,12 +426,13 @@ class SnapshotStore:
             sort_keys=True,
             allow_nan=False,
         )
-        self._publish(self.delta_path, body)
+        self._publish(self._path + ".delta", body)
 
     def _load_delta(self) -> dict | None:
-        if not self.delta_path.exists():
+        delta_path = self._path + ".delta"
+        if not os.path.exists(delta_path):
             return None
-        payload = _unframe(self.delta_path.read_text().strip())
+        payload = _unframe(_read_text(delta_path).strip())
         if (
             payload is None
             or "seq" not in payload
@@ -415,7 +441,7 @@ class SnapshotStore:
             or "append" not in payload
         ):
             raise WalCorruptionError(
-                f"{self.delta_path}: snapshot delta failed its CRC check"
+                f"{delta_path}: snapshot delta failed its CRC check"
             )
         return payload
 
@@ -428,11 +454,11 @@ class SnapshotStore:
         at-rest corruption; because publication is atomic, a bad frame
         here is never a torn write and always raises.
         """
-        if not self.path.exists():
+        if not os.path.exists(self._path):
             return None
-        payload = _unframe(self.path.read_text().strip())
+        payload = _unframe(_read_text(self._path).strip())
         if payload is None or "seq" not in payload or "state" not in payload:
-            raise WalCorruptionError(f"{self.path}: snapshot failed its CRC check")
+            raise WalCorruptionError(f"{self._path}: snapshot failed its CRC check")
         seq, state = int(payload["seq"]), payload["state"]
         delta = self._load_delta()
         if delta is not None and int(delta["base_seq"]) == seq:

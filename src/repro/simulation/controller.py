@@ -19,6 +19,7 @@ from ..core.strategy import Strategy
 
 __all__ = [
     "StopDecision",
+    "resolve_stop",
     "StopStartController",
     "ObservingController",
     "OfflineController",
@@ -59,6 +60,17 @@ class StopDecision:
         return self.idle_seconds + (break_even if self.restarted else 0.0)
 
 
+def resolve_stop(stop_length: float, threshold: float) -> StopDecision:
+    """What happens at a stop of ``stop_length`` under an idling
+    ``threshold`` that is already drawn: idle ``min(y, x)``, and restart
+    when ``y >= x``."""
+    y = validate_stop_length(stop_length)
+    x = float(threshold)
+    if y < x:
+        return StopDecision(stop_length=y, threshold=x, idle_seconds=y, restarted=False)
+    return StopDecision(stop_length=y, threshold=x, idle_seconds=x, restarted=True)
+
+
 class StopStartController:
     """Applies an online strategy to a stream of stops.
 
@@ -84,13 +96,7 @@ class StopStartController:
     def apply(self, stop_length: float, threshold: float) -> StopDecision:
         """Resolve one stop against an already-drawn threshold — the
         entry point for batched draws (:meth:`Strategy.draw_thresholds`)."""
-        y = validate_stop_length(stop_length)
-        x = float(threshold)
-        if y < x:
-            return StopDecision(
-                stop_length=y, threshold=x, idle_seconds=y, restarted=False
-            )
-        return StopDecision(stop_length=y, threshold=x, idle_seconds=x, restarted=True)
+        return resolve_stop(stop_length, threshold)
 
 
 class ObservingController(StopStartController):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis import empirical_cr
@@ -172,6 +172,13 @@ class TestSelectVerticesBatched:
         return code, math.nan
 
     @given(stats=feasible_statistics(allow_degenerate=True))
+    @example(  # DET and b-DET tie unless both square by a multiply
+        stats=StopStatistics(
+            mu_b_minus=1.4639496892159194,
+            q_b_plus=5.145230673607144e-213,
+            break_even=3.55,
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_matches_solver_bit_exactly(self, stats):
         codes, thresholds = select_vertices(
