@@ -1,15 +1,17 @@
-"""Benchmark: columnar batched serving vs the scalar event loop.
+"""Benchmark: the ingest path fed large chunks vs one line at a time.
 
 One op, ``serve_ingest``: the full durable serving path — JSONL decode,
 validation, per-vehicle routing, vectorized apply, WAL group-commit
-with fsync — against the per-event scalar loop in the *same* durable
-configuration (``fsync=True``; durability is where group-commit earns
-its keep: one fsync per chunk instead of one per event).
+with fsync — fed 4096-line chunks (``ingest_lines``), against the same
+path fed one line at a time (``ingest_line``, a chunk of one) in the
+*same* durable configuration (``fsync=True``; durability is where
+group-commit earns its keep: one fsync per chunk instead of one per
+event).  The "scalar" fields below name the line-at-a-time loop.
 
 Correctness gates before any timing is reported:
 
 * the batched run's per-vehicle ``state_digest()`` values must be
-  bit-identical to an uninterrupted scalar run over the same trace
+  bit-identical to an uninterrupted line-at-a-time run over the same trace
   (digest equality is exact — ``max_abs_diff`` is 0 by construction or
   the test fails);
 * batched events/s must be >= 3x scalar in every mode (the CI smoke

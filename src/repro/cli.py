@@ -371,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         type=int,
         default=1,
-        help="columnar ingest: apply N events per WAL group-commit chunk "
-        "(default 1 = the per-event scalar loop; any N is bit-identical "
-        "to it — see docs/serving.md)",
+        help="apply N events per WAL group-commit chunk (default 1: one "
+        "event per chunk; any N yields the same state — see docs/serving.md)",
     )
     serve.add_argument(
         "--health",
@@ -1156,12 +1155,6 @@ def _serve(args) -> int:
     )
 
     def _pump(handle) -> None:
-        if args.batch == 1:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    service.ingest_line(line)
-            return
         chunk: list[str] = []
         for line in handle:
             line = line.strip()

@@ -9,14 +9,15 @@ sidecar, and a bounded ingestion queue:
   event is **shed and counted** (explicit backpressure — the caller
   sees False and the health snapshot reports the count) rather than
   growing memory without bound;
-* ``drain()`` parses, validates and routes everything queued;
-* ``process(record)`` is offer+drain for one event (the file/stdin
-  serving loop);
-* ``process_batch(records)`` / ``ingest_lines(lines)`` are the columnar
-  fast path (``serve --batch N``): a chunk is planned into per-vehicle
-  runs (:mod:`repro.service.batch`) and each run applied through one
-  vectorized group-commit — bit-identical to the scalar loop (the
-  equivalence harness in ``tests/test_service_batch.py`` pins it).
+* ``drain()`` validates, routes and applies everything queued as one
+  chunk;
+* ``process_batch(records)`` / ``ingest_lines(lines)`` are the one
+  ingest path (``serve --batch N``): a chunk is planned into
+  per-vehicle runs (:mod:`repro.service.batch`) and each run applied
+  through one group-commit; ``process(record)`` and
+  ``ingest_line(line)`` are chunks of one.  The equivalence harness in
+  ``tests/test_service_batch.py`` pins every chunking to an
+  independent per-event admission model.
 
 Raw records are value-validated by
 :func:`repro.validation.schemas.stop_event_findings` before they reach
@@ -38,7 +39,6 @@ from pathlib import Path
 
 from ..engine.ledger import active_ledger
 from ..validation import CsvQuarantineWriter, PolicyEnforcer, ValidationReport
-from ..validation.schemas import stop_event_findings
 from .batch import MalformedEvent, plan_chunk
 from .session import AdvisorSession, SessionConfig
 
@@ -239,48 +239,35 @@ class AdvisorService:
         return True
 
     def drain(self) -> list[dict]:
-        """Process everything queued; returns the decisions made."""
-        decisions = []
-        while self._queue:
-            decision = self._handle(self._queue.popleft())
-            if decision is not None:
-                decisions.append(decision)
-        return decisions
+        """Process everything queued as one chunk; returns the decisions
+        made."""
+        if not self._queue:
+            return []
+        records = list(self._queue)
+        self._queue.clear()
+        return [
+            decision for decision in self._apply_chunk(records) if decision is not None
+        ]
 
     def process(self, record) -> dict | None:
-        """Offer + drain for one event (the serving loop's hot path)."""
-        if not self.offer(record):
-            return None
-        decision = None
-        for result in self.drain():
-            decision = result
-        return decision
+        """Apply one event: a chunk of one through :meth:`process_batch`."""
+        return self.process_batch([record])[0]
 
     def ingest_line(self, line: str) -> dict | None:
-        """Parse one JSONL event line and process it (the ``serve`` loop).
-
-        Undecodable lines are policy-handled as ``malformed-event`` —
-        the raw line goes to the quarantine sidecar under the
-        ``quarantine`` policy — and never reach a session.
-        """
-        record, error = parse_event_line(line)
-        if error is not None:
-            self.received += 1
-            self.malformed += 1
-            self._enforcer.flag("malformed-event", error, record=[line])
-            return None
-        return self.process(record)
+        """Parse one JSONL event line and apply it: a chunk of one
+        through :meth:`ingest_lines`."""
+        return self.ingest_lines([line])[0]
 
     def process_batch(self, records) -> list:
-        """The columnar fast path: apply a chunk of parsed records.
+        """Apply a chunk of parsed records (the one ingest path).
 
         The chunk is planned into per-vehicle runs
         (:func:`repro.service.batch.plan_chunk`); each run is applied
-        with one vectorized
+        with one
         :meth:`~repro.service.session.AdvisorSession.submit_batch` —
         one WAL group-commit, one fsync — and malformed markers are
-        policy-handled at their in-chunk position so per-vehicle health
-        signals land exactly where the scalar loop would put them.
+        policy-handled at their in-chunk position, so per-vehicle
+        health signals land between the events they arrived between.
 
         Returns decisions aligned with ``records`` (None where the
         record was malformed or dropped).  Any previously queued events
@@ -290,23 +277,7 @@ class AdvisorService:
         self.drain()
         records = list(records)
         self.received += len(records)
-        results: list = [None] * len(records)
-        if not records:
-            return results
-        start = time.perf_counter()
-        for item in plan_chunk(records).items:
-            if isinstance(item, MalformedEvent):
-                self._flag_malformed(item.record, item.findings)
-                continue
-            decisions = self.session(item.vehicle).submit_batch(
-                item.event_ids, item.timestamps, item.stop_lengths
-            )
-            for position, decision in zip(item.indices, decisions):
-                results[int(position)] = decision
-        self.batch_chunks += 1
-        self.batch_events += len(records)
-        self.batch_seconds += time.perf_counter() - start
-        return results
+        return self._apply_chunk(records)
 
     def ingest_lines(self, lines) -> list:
         """Parse a chunk of JSONL lines and apply it as one batch.
@@ -314,10 +285,11 @@ class AdvisorService:
         The whole chunk is decoded with a single ``json.loads`` (each
         line is one JSON value, so joining them into an array is one
         C-level parse instead of one call per line).  If *any* line is
-        undecodable the chunk falls back to per-line parsing, where bad
-        lines are policy-handled exactly as :meth:`ingest_line` handles
-        them and the decoded remainder still goes through
-        :meth:`process_batch`.  Returns decisions aligned with
+        undecodable the chunk falls back to per-line parsing: bad lines
+        are policy-handled as ``malformed-event`` — the raw line goes to
+        the quarantine sidecar under the ``quarantine`` policy — and
+        never reach a session, while the decoded remainder still goes
+        through :meth:`process_batch`.  Returns decisions aligned with
         ``lines``.
         """
         lines = list(lines)
@@ -327,7 +299,7 @@ class AdvisorService:
             records = None
         # Length mismatch = some line held several comma-separated JSON
         # values (invalid alone, but legal inside the joined array) —
-        # only the per-line path flags it the way ingest_line would.
+        # only the per-line parse flags it.
         if records is not None and len(records) == len(lines):
             return self.process_batch(records)
         results: list = [None] * len(lines)
@@ -346,37 +318,43 @@ class AdvisorService:
             results[position] = decision
         return results
 
-    def _handle(self, record) -> dict | None:
-        findings, event = stop_event_findings(record)
-        if event is None:
-            self._flag_malformed(record, findings)
-            return None
-        event_id, vehicle, timestamp, stop_length = event
-        return self.session(vehicle).submit(event_id, timestamp, stop_length)
+    def _apply_chunk(self, records: list) -> list:
+        """Plan and apply one chunk of parsed records; decisions aligned
+        with ``records``.  Shared by :meth:`process_batch` and
+        :meth:`drain` (their callers count ``received``)."""
+        results: list = [None] * len(records)
+        if not records:
+            return results
+        start = time.perf_counter()
+        for item in plan_chunk(records).items:
+            if isinstance(item, MalformedEvent):
+                self._flag_malformed(item)
+                continue
+            decisions = self.session(item.vehicle).submit_batch(
+                item.event_ids, item.timestamps, item.stop_lengths
+            )
+            for position, decision in zip(item.indices, decisions):
+                results[position] = decision
+        self.batch_chunks += 1
+        self.batch_events += len(records)
+        self.batch_seconds += time.perf_counter() - start
+        return results
 
-    def _flag_malformed(self, record, findings) -> None:
-        """Policy-handle one value-invalid record (scalar and batch paths)."""
+    def _flag_malformed(self, item: MalformedEvent) -> None:
+        """Policy-handle one value-invalid record."""
         self.malformed += 1
-        vehicle = self._identifiable_vehicle(record)
-        for check, message in findings:
+        vehicle = item.vehicle
+        for check, message in item.findings:
             self._enforcer.flag(
                 check,
                 message if vehicle is None else f"vehicle {vehicle}: {message}",
-                record=[json.dumps(record, default=repr)],
+                record=[json.dumps(item.record, default=repr)],
             )
         # A malformed record still carries a health signal for the
         # vehicle it claims to be from — but only for vehicles we
         # already serve: garbage must not create sessions.
         if vehicle is not None and vehicle in self.sessions:
-            self.sessions[vehicle].note_invalid_event(findings[0][0])
-
-    @staticmethod
-    def _identifiable_vehicle(record) -> str | None:
-        if isinstance(record, dict):
-            vehicle = record.get("vehicle")
-            if isinstance(vehicle, str) and vehicle.strip():
-                return vehicle
-        return None
+            self.sessions[vehicle].note_invalid_event(item.findings[0][0])
 
     # -- lifecycle / observability ---------------------------------------
 

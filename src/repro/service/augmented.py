@@ -31,10 +31,10 @@ Everything the augmented layer learns — predictor tables, trust
 accumulators — rides in the session snapshot/WAL state and restores
 bit-identically after a crash, exactly like the estimator and the RNG
 stream (the recovery pins in ``tests/test_augmented.py`` enforce it).
-The batched ingest path stages augmented runs per event (predictions
-are per-event functions of the timestamp, so the HEALTHY columnar
-staging does not apply) while keeping the group WAL commit and batched
-threshold draws, and stays bit-identical to the scalar loop.
+The ingest path stages augmented runs per event (predictions are
+per-event functions of the timestamp, so the HEALTHY columnar staging
+does not apply) while keeping the group WAL commit and batched
+threshold draws, and matches ``_apply`` run event by event.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Columnar chunk planning for batched ingest.
+"""Columnar chunk planning for the one ingest path.
 
-The scalar serving loop walks one event at a time: parse, validate,
-route to the vehicle's session, apply, WAL-append, fsync.  The batched
-path amortizes all of that per *chunk*: this module turns a chunk of
+Every event is served as part of a chunk — one event is a chunk of
+one — so parsing, validation, routing, the WAL write and the fsync are
+paid per *chunk*, not per event: this module turns a chunk of
 parsed JSONL records into a :class:`ChunkPlan` — per-vehicle columnar
-runs (numpy struct arrays of timestamps/stop lengths plus the event
-ids) interleaved with malformed-event markers — that
+runs (event ids, chunk positions, and float arrays of timestamps and
+stop lengths) interleaved with malformed-event markers — that
 :meth:`AdvisorService.process_batch
 <repro.service.advisor.AdvisorService.process_batch>` executes with one
 :meth:`~repro.service.session.AdvisorSession.submit_batch` group-commit
@@ -23,8 +23,8 @@ Planning preserves exactly the ordering that session state depends on:
   order of the shared validation report/quarantine sidecar within one
   chunk, which interleaved streams cannot preserve under group-commit.
 
-Validation is byte-identical to the scalar path: every record goes
-through :func:`repro.validation.schemas.stop_event_findings`, and the
+Validation is that of :func:`repro.validation.schemas.stop_event_findings`:
+a record the fast-shape check cannot vouch for goes through it, and the
 resulting event tuples are what the columns are built from.
 """
 
@@ -37,39 +37,25 @@ import numpy as np
 
 from ..validation.schemas import stop_event_findings
 
-__all__ = ["EVENT_DTYPE", "ColumnarRun", "MalformedEvent", "ChunkPlan", "plan_chunk"]
-
-#: Structured dtype for one planned run: the record's position in the
-#: chunk (for scattering decisions back), its timestamp and stop length.
-#: Event ids stay in a Python list — they are arbitrary-length strings
-#: and the session needs them as ``str`` for dedup hashing anyway.
-EVENT_DTYPE = np.dtype(
-    [("index", np.int64), ("t", np.float64), ("stop", np.float64)]
-)
+__all__ = ["ColumnarRun", "MalformedEvent", "ChunkPlan", "plan_chunk"]
 
 
 @dataclass
 class ColumnarRun:
-    """A maximal run of valid events for one vehicle, as columns."""
+    """A maximal run of valid events for one vehicle, as columns.
+
+    ``indices`` are the records' positions in the chunk (for scattering
+    decisions back); timestamps and stop lengths are float arrays.
+    """
 
     vehicle: str
     event_ids: list
-    columns: np.ndarray  # EVENT_DTYPE
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.columns["index"]
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        return self.columns["t"]
-
-    @property
-    def stop_lengths(self) -> np.ndarray:
-        return self.columns["stop"]
+    indices: list
+    timestamps: np.ndarray
+    stop_lengths: np.ndarray
 
     def __len__(self) -> int:
-        return self.columns.shape[0]
+        return len(self.event_ids)
 
 
 @dataclass
@@ -100,7 +86,7 @@ def _identifiable_vehicle(record) -> str | None:
 
 #: Largest integer magnitude the fast-shape check accepts for ``t``/
 #: ``stop``: within +-2**53 every int is exactly a float, so the fast
-#: conversion and the scalar path's ``float(str(value))`` round-trip
+#: conversion and the full validator's ``float(str(value))`` round-trip
 #: agree bit-for-bit.  Bigger ints (rounding, or overflow to inf on the
 #: string parse) take the slow path.
 _EXACT_INT = 2**53
@@ -159,13 +145,14 @@ def plan_chunk(records) -> ChunkPlan:
         buffer = open_runs.get(vehicle)
         if not buffer:
             return
-        columns = np.empty(len(buffer), dtype=EVENT_DTYPE)
-        columns["index"] = [item[0] for item in buffer]
-        columns["t"] = [item[2] for item in buffer]
-        columns["stop"] = [item[3] for item in buffer]
-        event_ids = [item[1] for item in buffer]
         finished.setdefault(vehicle, []).append(
-            ColumnarRun(vehicle, event_ids, columns)
+            ColumnarRun(
+                vehicle,
+                [item[1] for item in buffer],
+                [item[0] for item in buffer],
+                np.array([item[2] for item in buffer]),
+                np.array([item[3] for item in buffer]),
+            )
         )
         buffer.clear()
 
@@ -198,4 +185,4 @@ def plan_chunk(records) -> ChunkPlan:
 def _first_index(item) -> int:
     if isinstance(item, MalformedEvent):
         return item.index
-    return int(item.columns["index"][0])
+    return item.indices[0]

@@ -125,7 +125,7 @@ class JsonlFrontend:
         connection is aborted — freeing the handler task and the buffered
         bytes — and surfaces as ``slow_client_disconnects`` in
         ``/health``.  The raised reset follows the normal client-went-
-        away path in ``_handle``.
+        away path in ``_serve_client``.
         """
         try:
             await asyncio.wait_for(writer.drain(), timeout=_DRAIN_TIMEOUT_S)
@@ -252,7 +252,7 @@ class JsonlFrontend:
         except Exception as exc:
             return {"ready": False, "reasons": [f"readiness probe failed: {exc!r}"]}
 
-    async def _handle(self, reader, writer) -> None:
+    async def _serve_client(self, reader, writer) -> None:
         self.connections += 1
         if writer.transport is not None:
             # Cap the kernel-side buffer so drain() exerts backpressure
@@ -352,11 +352,11 @@ class JsonlFrontend:
             spec = parse_listen(listen)
             if spec[0] == "unix":
                 server = await asyncio.start_unix_server(
-                    self._handle, path=spec[1], limit=_LINE_LIMIT
+                    self._serve_client, path=spec[1], limit=_LINE_LIMIT
                 )
             else:
                 server = await asyncio.start_server(
-                    self._handle, host=spec[1], port=spec[2], limit=_LINE_LIMIT
+                    self._serve_client, host=spec[1], port=spec[2], limit=_LINE_LIMIT
                 )
         try:
             if ready is not None:

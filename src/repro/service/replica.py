@@ -89,8 +89,8 @@ __all__ = [
 ]
 
 #: Watermark sidecar at the standby root: one CRC-framed JSON line
-#: mapping session keys to ``{"applied": seq, "snapshot": seq, "delta":
-#: seq}`` (registry keys map to ``{"bytes": n}``).
+#: mapping session keys to ``{"applied": seq, "snapshot": seq | null,
+#: "delta": seq}`` (registry keys map to ``{"bytes": n}``).
 WATERMARKS_NAME = "replica.watermarks.json"
 
 #: CRC-framed backup manifest, written *last* so a torn backup is a
@@ -429,7 +429,7 @@ class ReplicaServer:
             return {"ok": True}
         return {"ok": False, "error": f"unknown op {kind!r}"}
 
-    async def _handle(self, reader, writer) -> None:
+    async def _serve_client(self, reader, writer) -> None:
         try:
             while True:
                 line = await reader.readline()
@@ -473,11 +473,11 @@ class ReplicaServer:
         parsed = parse_listen(listen)
         if parsed[0] == "unix":
             server = await asyncio.start_unix_server(
-                self._handle, path=parsed[1], limit=_REPLICA_LINE_LIMIT
+                self._serve_client, path=parsed[1], limit=_REPLICA_LINE_LIMIT
             )
         else:
             server = await asyncio.start_server(
-                self._handle, host=parsed[1], port=parsed[2], limit=_REPLICA_LINE_LIMIT
+                self._serve_client, host=parsed[1], port=parsed[2], limit=_REPLICA_LINE_LIMIT
             )
         async with server:
             if ready is not None:
@@ -524,7 +524,9 @@ def sync_once(primary_dir: str | Path, target, *, fs=None) -> dict:
         stats["vehicles"] += 1
         mark = marks.get(key) or {}
         applied = int(mark.get("applied", 0))
-        snap_mark = int(mark.get("snapshot", 0))
+        # A missing mark is not mark 0: a fresh session's base snapshot
+        # sits at seq 0, and every delta the standby receives needs it.
+        snap_mark = mark.get("snapshot")  # None: no snapshot shipped yet
         delta_mark = int(mark.get("delta", 0))
 
         wal = WriteAheadLog(vdir / WAL_NAME, fs=fs)
@@ -564,9 +566,10 @@ def sync_once(primary_dir: str | Path, target, *, fs=None) -> dict:
                 f"history needed for catch-up is gone"
             )
 
-        if snap_text is not None and snap_seq > snap_mark:
+        if snap_text is not None and (snap_mark is None or snap_seq > snap_mark):
             target.put_text(key + "/" + SNAPSHOT_NAME, snap_text)
             stats["snapshots"] += 1
+            snap_mark = snap_seq
         if delta_text is not None:
             if delta_seq > delta_mark:
                 target.put_text(key + "/" + DELTA_NAME, delta_text)
@@ -584,7 +587,7 @@ def sync_once(primary_dir: str | Path, target, *, fs=None) -> dict:
             key,
             {
                 "applied": tip,
-                "snapshot": max(snap_mark, snap_seq),
+                "snapshot": snap_mark,
                 "delta": delta_seq if delta_text is not None else 0,
             },
         )
@@ -846,11 +849,13 @@ def restore(
 
     Every archived file's hash is verified against the manifest *before
     anything is written* — a corrupt backup aborts with the target
-    untouched.  With ``upto_seq``, history past that point is dropped:
-    a delta beyond it is removed, the WAL is truncated to frames at or
-    below it, and a full snapshot already past it (compaction consumed
-    the requested history) refuses the restore rather than producing a
-    state newer than asked for.
+    untouched.  With ``upto_seq``, history past that point is left
+    behind: a delta beyond it is not restored and the WAL keeps only
+    frames at or below it.  That rebuilds the requested state only when
+    the WAL holds every frame from the remaining snapshot up to
+    ``upto_seq`` (or to the session's end, when it stops short); when
+    compaction already consumed those frames the restore is refused,
+    also before anything is written.
     """
     archive = Path(archive_dir)
     state_dir = Path(state_dir)
@@ -874,11 +879,24 @@ def restore(
                 f"corrupt backup: {rel} does not match its manifest hash"
             )
 
+    cuts = {}
+    if upto_seq is not None:
+        for key, vdir in session_dirs(archive):
+            cuts[key] = _point_in_time_cut(key, vdir, upto_seq)
+
     report = {"files": 0, "truncated": {}, "upto_seq": upto_seq}
     for rel in sorted(manifest["files"]):
         if rel == WATERMARKS_NAME:
             continue  # the restored dir is a primary, not a standby
         data = (archive / rel).read_bytes()
+        key, _, name = rel.rpartition("/")
+        if key in cuts:
+            drop_delta, kept, dropped = cuts[key]
+            if name == DELTA_NAME and drop_delta:
+                continue
+            if name == WAL_NAME and dropped:
+                data = "".join(line + "\n" for line in kept).encode()
+                report["truncated"][key] = dropped
         dest = state_dir / rel
         dest.parent.mkdir(parents=True, exist_ok=True)
         if fs is not None:
@@ -887,50 +905,62 @@ def restore(
         tmp.write_bytes(data)
         os.replace(tmp, dest)
         report["files"] += 1
-
-    if upto_seq is not None:
-        for key, vdir in session_dirs(state_dir):
-            snap_path = vdir / SNAPSHOT_NAME
-            full_seq = 0
-            if snap_path.exists():
-                payload = _unframe(snap_path.read_text().strip())
-                if payload is None or "seq" not in payload:
-                    raise ReplicationError(
-                        f"corrupt backup: {key} snapshot failed its CRC check"
-                    )
-                full_seq = int(payload["seq"])
-            if full_seq > upto_seq:
-                raise ReplicationError(
-                    f"{key}: full snapshot is at seq {full_seq} > --upto-seq "
-                    f"{upto_seq}; compaction already consumed the history that "
-                    f"restore point needs"
-                )
-            delta_path = vdir / DELTA_NAME
-            if delta_path.exists():
-                payload = _unframe(delta_path.read_text().strip())
-                if payload is None or "base_seq" not in payload or "seq" not in payload:
-                    raise ReplicationError(
-                        f"corrupt backup: {key} delta failed its CRC check"
-                    )
-                if int(payload["base_seq"]) == full_seq and int(payload["seq"]) > upto_seq:
-                    delta_path.unlink()
-            wal = WriteAheadLog(vdir / WAL_NAME, fs=fs)
-            kept, dropped = [], 0
-            for seq, line, _record in wal.follow(0):
-                if seq <= upto_seq:
-                    kept.append(line)
-                else:
-                    dropped += 1
-            if dropped:
-                if fs is not None:
-                    fs.check("restore-write", wal.path)
-                tmp = wal.path.with_name(wal.path.name + f".tmp{os.getpid()}")
-                with open(tmp, "w") as handle:
-                    handle.write("".join(line + "\n" for line in kept))
-                    handle.flush()
-                os.replace(tmp, wal.path)
-                report["truncated"][key] = dropped
     return report
+
+
+def _point_in_time_cut(key: str, vdir: Path, upto_seq: int) -> tuple[bool, list, int]:
+    """How one archived session rewinds to ``upto_seq``:
+    ``(drop_delta, kept_wal_lines, dropped_frame_count)``.
+
+    Raises :class:`ReplicationError` when the rewound files would not
+    rebuild the session's first ``upto_seq`` events: the snapshot that
+    remains is past ``upto_seq``, or the WAL lacks a frame between it
+    and ``upto_seq`` (a delta compaction resets the log, so the frames
+    between its base and itself survive nowhere).
+    """
+    snap_path = vdir / SNAPSHOT_NAME
+    base = 0
+    if snap_path.exists():
+        payload = _unframe(snap_path.read_text().strip())
+        if payload is None or "seq" not in payload:
+            raise ReplicationError(
+                f"corrupt backup: {key} snapshot failed its CRC check"
+            )
+        base = int(payload["seq"])
+    tip = base
+    drop_delta = False
+    delta_path = vdir / DELTA_NAME
+    if delta_path.exists():
+        payload = _unframe(delta_path.read_text().strip())
+        if payload is None or "base_seq" not in payload or "seq" not in payload:
+            raise ReplicationError(
+                f"corrupt backup: {key} delta failed its CRC check"
+            )
+        if int(payload["base_seq"]) == base:
+            tip = int(payload["seq"])
+            if tip > upto_seq:
+                drop_delta = True
+            else:
+                base = tip
+    kept, dropped = [], 0
+    reached = base
+    for seq, line, _record in WriteAheadLog(vdir / WAL_NAME).follow(0):
+        tip = max(tip, seq)
+        if seq > upto_seq:
+            dropped += 1
+            continue
+        kept.append(line)
+        if seq == reached + 1:
+            reached = seq
+    need = min(upto_seq, tip)
+    if reached != need:
+        raise ReplicationError(
+            f"{key}: --upto-seq {upto_seq} needs the state at seq {need}, but "
+            f"the archived snapshot is at seq {base} and the WAL continues it "
+            f"only to seq {reached}; compaction already consumed the history "
+            f"that restore point needs"
+        )
+    return drop_delta, kept, dropped
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,10 @@ event.
 Defensive ingestion
 -------------------
 Duplicate event ids (at-least-once delivery) are no-ops; events whose
-timestamp runs behind the vehicle's clock are rejected through the
-:mod:`repro.validation` policy machinery (strict raises, repair drops,
-quarantine diverts to a sidecar); malformed values never reach the
-estimator and, in streaks, degrade the session's health.
+timestamp is not finite or runs behind the vehicle's clock are rejected
+through the :mod:`repro.validation` policy machinery (strict raises,
+repair drops, quarantine diverts to a sidecar); malformed values never
+reach the estimator and, in streaks, degrade the session's health.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from ..engine.ledger import active_ledger
 from ..simulation.controller import resolve_stop
 from ..validation import PolicyEnforcer
 from .drift import DriftDetector
-from .wal import SNAPSHOT_NAME, WAL_NAME, SnapshotStore, WriteAheadLog
+from .wal import SNAPSHOT_NAME, WAL_NAME, SnapshotStore, WalCorruptionError, WriteAheadLog
 
 __all__ = ["HealthState", "SessionConfig", "AdvisorSession", "vehicle_seed"]
 
@@ -324,78 +324,12 @@ class AdvisorSession:
     # -- ingestion --------------------------------------------------------
 
     def submit(self, event_id: str, timestamp: float, stop_length: float):
-        """Ingest one stop event; returns the decision dict, or None when
-        the event was a duplicate or was rejected.
+        """Ingest one stop event: a chunk of one through :meth:`submit_batch`.
 
-        The caller is expected to have value-validated the fields (see
-        :func:`repro.validation.schemas.stop_event_findings`); this
-        method performs the *stateful* checks — idempotency and clock
-        monotonicity — then makes the event durable and applies it.
-
-        While durability is suspended (disk fault) the event is served
-        from the SAFE fallback and buffered instead of applied — see
-        :meth:`_submit_suspended`.
+        Returns the decision dict, or None when the event was a
+        duplicate or was rejected.
         """
-        event_id = str(event_id)
-        if self.durability_suspended:
-            self._probe_maybe()
-            if self.durability_suspended:
-                return self._submit_suspended(event_id, timestamp, stop_length)
-        if event_id in self._recent_id_set:
-            # At-least-once delivery: a replayed event is a no-op, not an
-            # error — counted, never reported per-record (a redelivery
-            # storm after a restart must not flood the report).
-            self.duplicates += 1
-            return None
-        stop_length = float(stop_length)
-        if not math.isfinite(stop_length) or stop_length < 0.0:
-            # Defense in depth against callers that skipped the schema
-            # checks: a bad value must never reach the WAL, where its
-            # replay would poison recovery.
-            check = (
-                "negative-duration" if math.isfinite(stop_length) else "non-finite-duration"
-            )
-            kept = self._enforcer.flag(
-                check,
-                f"vehicle {self.vehicle_id}: event {event_id} stop length {stop_length!r}",
-                record=[event_id, self.vehicle_id, repr(timestamp), repr(stop_length)],
-            )
-            if not kept:
-                self.rejected += 1
-                self.note_invalid_event(check)
-                return None
-        timestamp = float(timestamp)
-        if self.last_timestamp is not None and timestamp < self.last_timestamp:
-            kept = self._enforcer.flag(
-                "non-monotonic-timestamp",
-                f"vehicle {self.vehicle_id}: event {event_id} at t={timestamp!r} "
-                f"behind clock {self.last_timestamp!r}",
-                record=[event_id, self.vehicle_id, repr(timestamp), repr(stop_length)],
-            )
-            if not kept:
-                self.rejected += 1
-                self.note_invalid_event("non-monotonic-timestamp")
-                return None
-        record = {
-            "seq": self.applied + 1,
-            "id": event_id,
-            "t": timestamp,
-            "y": float(stop_length),
-        }
-        if self._wal is not None:
-            try:
-                self._wal.append(record)
-            except OSError as exc:
-                # The append failed, so the event is NOT durable and the
-                # WAL-before-apply invariant forbids applying it; park
-                # it in the suspension buffer to be replayed — through
-                # this very path — once the disk heals.
-                self._suspend(exc, "wal-append")
-                return self._submit_suspended(event_id, timestamp, stop_length)
-        decision = self._apply(record)
-        if self._snapshots is not None and self.applied % self.config.snapshot_every == 0:
-            self.compact()
-        return decision
+        return self.submit_batch([event_id], [timestamp], [stop_length])[0]
 
     def note_invalid_event(self, check: str) -> None:
         """Feed one event-validation failure into the health machine.
@@ -425,7 +359,7 @@ class AdvisorSession:
     # * the disk is probed on an exponential backoff schedule counted in
     #   suspended events (deterministic for tests — no wall clock), and
     #   on success the buffered tail replays through the normal
-    #   :meth:`submit` path and the session re-compacts.
+    #   :meth:`submit_batch` path and the session re-compacts.
     #
     # Because replay uses the same apply path and the buffered events
     # arrive in original order, the healed durable state is
@@ -455,7 +389,7 @@ class AdvisorSession:
                 applied=self.applied,
             )
 
-    def _submit_suspended(self, event_id: str, timestamp, stop_length):
+    def _submit_suspended(self, event_id: str, timestamp: float, stop_length: float):
         """Serve one event while durability is suspended.
 
         The event cannot be made durable, so it must not mutate session
@@ -467,12 +401,6 @@ class AdvisorSession:
         self._suspend_seen += 1
         if event_id in self._recent_id_set or event_id in self._suspend_buffer:
             self.duplicates += 1
-            return None
-        try:
-            timestamp = float(timestamp)
-            stop_length = float(stop_length)
-        except (TypeError, ValueError):
-            self.rejected += 1
             return None
         if len(self._suspend_buffer) >= self.config.suspend_buffer:
             # Bounded memory beats unbounded history: the drop is
@@ -535,12 +463,12 @@ class AdvisorSession:
     def _try_resume(self) -> bool:
         """One probe; on success replay the buffered tail and resume.
 
-        Replay routes every buffered event through the normal
-        :meth:`submit` — full validation, WAL-before-apply, RNG draws,
-        cost accounting — so the healed state converges to the
+        Replay routes the buffered tail through one normal
+        :meth:`submit_batch` — full validation, WAL-before-apply, RNG
+        draws, cost accounting — so the healed state converges to the
         never-faulted run's.  A disk that fails again mid-replay simply
-        re-suspends: the failing event re-buffers itself, and the
-        not-yet-replayed remainder is queued back behind it in order.
+        re-suspends: the batch buffers the failing run and everything
+        behind it, in order.
         """
         if self._wal is not None:
             try:
@@ -559,17 +487,16 @@ class AdvisorSession:
         self.compact()
         if self.durability_suspended:
             return False  # the snapshot publish found the disk sick again
-        buffered = list(self._suspend_buffer.items())
+        buffered = self._suspend_buffer
         self._suspend_buffer = {}
-        for position, (event_id, (timestamp, stop_length)) in enumerate(buffered):
-            self.submit(event_id, timestamp, stop_length)
-            if self.durability_suspended:
-                for later_id, event in buffered[position + 1:]:
-                    if len(self._suspend_buffer) >= self.config.suspend_buffer:
-                        self.suspend_dropped += 1
-                    else:
-                        self._suspend_buffer[later_id] = event
-                return False
+        events = list(buffered.values())
+        self.submit_batch(
+            list(buffered),
+            [timestamp for timestamp, _ in events],
+            [stop_length for _, stop_length in events],
+        )
+        if self.durability_suspended:
+            return False
         self.resumes += 1
         self.suspend_reason = None
         ledger = active_ledger()
@@ -594,43 +521,45 @@ class AdvisorSession:
             "resumes": self.resumes,
         }
 
-    # -- batched ingestion (the columnar serving path) --------------------
+    # -- chunked ingestion (the one admission and commit path) -----------
 
     def submit_batch(self, event_ids, timestamps, stop_lengths) -> list:
         """Ingest a batch of stop events; one decision dict (or None)
-        per event, bit-identical to calling :meth:`submit` per event.
+        per event.  The one ingest path: :meth:`submit` is a batch of one.
+
+        The caller is expected to have value-validated the fields (see
+        :func:`repro.validation.schemas.stop_event_findings`); the
+        session re-checks values as defense in depth and performs the
+        *stateful* checks — idempotency and clock monotonicity.
 
         The batch is split into maximal **clean runs** — contiguous
-        events that pass every stateful admission check (dedup, value
-        guards, clock monotonicity) without side effects.  Each run is
-        made durable with ONE WAL group-commit (`append_many`), staged
-        with vectorized estimator/drift updates, and its thresholds are
-        drawn with one ``rng.uniform(size=k)`` when possible.  Any event
-        a check would touch (duplicate, bad value, stale clock) falls
-        back to the scalar :meth:`submit` — enforcer flags, strict-mode
-        raises, and streak bookkeeping all behave exactly as today.
+        events that pass every admission check (dedup, value guards,
+        finite and monotone clock) without side effects.  Each run is
+        made durable with ONE WAL group-commit (`append_many`), staged,
+        and its thresholds are drawn with one ``rng.uniform(size=k)``
+        when possible.  The event a check stops on is handed to
+        :meth:`_reject`.
 
-        Compaction is amortized: instead of snapshotting at every
-        ``snapshot_every`` boundary inside the batch, one (delta)
-        snapshot is published after the batch if a boundary was crossed.
+        Compaction is amortized: one delta snapshot is published after
+        the batch if a ``snapshot_every`` boundary was crossed.
+
+        While durability is suspended (disk fault) events are served
+        from the SAFE fallback and buffered instead of applied — see
+        :meth:`_submit_suspended`.
         """
         ids = [str(event_id) for event_id in event_ids]
-        ts = np.asarray(timestamps, dtype=float)
-        ys = np.asarray(stop_lengths, dtype=float)
-        if not len(ids) == ts.size == ys.size:
+        ts = np.asarray(timestamps, dtype=float).tolist()
+        ys = np.asarray(stop_lengths, dtype=float).tolist()
+        if not len(ids) == len(ts) == len(ys):
             raise InvalidParameterError(
                 f"batch fields disagree on length: {len(ids)} ids, "
-                f"{ts.size} timestamps, {ys.size} stop lengths"
+                f"{len(ts)} timestamps, {len(ys)} stop lengths"
             )
         results: list = [None] * len(ids)
         if not ids:
             return results
         if self.durability_suspended:
             self._probe_maybe()
-        # Timestamps must also be finite for the run path: the WAL's
-        # canonical JSON rejects NaN/inf, and a non-finite clock must
-        # fail on exactly the event that carries it, not abort the run.
-        clean = np.isfinite(ys) & (ys >= 0.0) & np.isfinite(ts)
         entry_applied = self.applied
         index = 0
         n = len(ids)
@@ -639,17 +568,12 @@ class AdvisorSession:
                 # Once suspended (at entry or mid-batch), every later
                 # event of the batch buffers behind the failing one —
                 # replay order must match arrival order exactly.
-                results[index] = self._submit_suspended(
-                    ids[index], float(ts[index]), float(ys[index])
-                )
+                results[index] = self._submit_suspended(ids[index], ts[index], ys[index])
                 index += 1
                 continue
-            run = self._admit_run(ids, ts, clean, index)
+            run = self._admit_run(ids, ts, ys, index)
             if run == 0:
-                # Complication event: full scalar semantics.
-                results[index] = self.submit(
-                    ids[index], float(ts[index]), float(ys[index])
-                )
+                self._reject(ids[index], ts[index], ys[index])
                 index += 1
                 continue
             self._commit_run(ids, ts, ys, index, run, results)
@@ -662,15 +586,14 @@ class AdvisorSession:
             self.compact(delta=True)
         return results
 
-    def _admit_run(self, ids: list, ts, clean, start: int) -> int:
+    def _admit_run(self, ids: list, ts: list, ys: list, start: int) -> int:
         """Length of the longest clean run starting at ``start``.
 
         Pure read-only scan: an event joins the run only when dedup
         (against the durable window AND the run itself), value guards,
         and clock monotonicity would all wave it through.  The first
         event that would trip any check ends the run with length 0 at
-        its own position, so the caller routes it through scalar
-        :meth:`submit`.
+        its own position, so the caller hands it to :meth:`_reject`.
         """
         last_timestamp = self.last_timestamp
         seen = self._recent_id_set
@@ -678,12 +601,20 @@ class AdvisorSession:
         index = start
         n = len(ids)
         while index < n:
-            if not clean[index]:
+            stop_length = ys[index]
+            timestamp = ts[index]
+            # The clock must be finite too: the WAL's canonical JSON
+            # rejects NaN/inf, and a later event must not look stale
+            # against an infinite clock.
+            if not (
+                stop_length >= 0.0
+                and math.isfinite(stop_length)
+                and math.isfinite(timestamp)
+            ):
                 break
             event_id = ids[index]
             if event_id in seen or event_id in local:
                 break
-            timestamp = ts[index]
             if last_timestamp is not None and timestamp < last_timestamp:
                 break
             local.add(event_id)
@@ -691,7 +622,38 @@ class AdvisorSession:
             index += 1
         return index - start
 
-    def _commit_run(self, ids, ts, ys, start: int, k: int, results: list) -> None:
+    def _reject(self, event_id: str, timestamp: float, stop_length: float) -> None:
+        """The event admission stopped on.  A duplicate (at-least-once
+        delivery) is only counted: a redelivery storm after a restart
+        must not flood the report.  Anything else is flagged through
+        the validation policy (strict raises), counted, and fed to the
+        failure streak; it never reaches the WAL, where its replay would
+        poison recovery."""
+        if event_id in self._recent_id_set:
+            self.duplicates += 1
+            return
+        if not math.isfinite(stop_length) or stop_length < 0.0:
+            check = (
+                "negative-duration" if math.isfinite(stop_length) else "non-finite-duration"
+            )
+            detail = f"stop length {stop_length!r}"
+        elif not math.isfinite(timestamp):
+            check = "non-finite-start-time"
+            detail = f"timestamp {timestamp!r}"
+        else:
+            check = "non-monotonic-timestamp"
+            detail = f"at t={timestamp!r} behind clock {self.last_timestamp!r}"
+        self._enforcer.flag(
+            check,
+            f"vehicle {self.vehicle_id}: event {event_id} {detail}",
+            record=[event_id, self.vehicle_id, repr(timestamp), repr(stop_length)],
+        )
+        self.rejected += 1
+        self.note_invalid_event(check)
+
+    def _commit_run(
+        self, ids: list, ts: list, ys: list, start: int, k: int, results: list
+    ) -> None:
         """Make one clean run durable, stage it, draw, finish.
 
         WAL-first ordering is load-bearing: staging emits live ledger
@@ -701,12 +663,7 @@ class AdvisorSession:
         """
         seq = self.applied
         frames = [
-            {
-                "seq": seq + j + 1,
-                "id": ids[start + j],
-                "t": float(ts[start + j]),
-                "y": float(ys[start + j]),
-            }
+            {"seq": seq + j + 1, "id": ids[start + j], "t": ts[start + j], "y": ys[start + j]}
             for j in range(k)
         ]
         if self._wal is not None:
@@ -717,30 +674,31 @@ class AdvisorSession:
                 # nothing from this process's view), so none of it may
                 # apply: the whole run buffers for post-heal replay.
                 self._suspend(exc, "wal-append")
-                for j in range(k):
-                    results[start + j] = self._submit_suspended(
-                        ids[start + j], float(ts[start + j]), float(ys[start + j])
-                    )
+                for j in range(start, start + k):
+                    results[j] = self._submit_suspended(ids[j], ts[j], ys[j])
                 return
         staged = self._stage_run(frames)
         self._finish_run(staged, results, start)
 
     def _stage_run(self, frames: list) -> list:
-        """Stage a committed run; vectorized in HEALTHY, scalar otherwise.
+        """Stage a committed run; vectorized for a multi-event run in
+        HEALTHY, per event otherwise.
 
         Outside HEALTHY the ladder can climb *up* mid-run (recovery
         transitions at exact clean-streak counts, estimator rebuilds),
         so events go through the per-event :meth:`_stage`; the batch
-        still benefits from the group commit and batched draws.
+        still benefits from the group commit and batched draws.  A run
+        of one gains nothing from the columnar arrays and takes
+        :meth:`_stage` too.
         """
-        if self.health is not HealthState.HEALTHY:
+        if len(frames) == 1 or self.health is not HealthState.HEALTHY:
             return [self._stage(frame) for frame in frames]
         return self._stage_run_fast(frames)
 
     def _stage_run_fast(self, frames: list) -> list:
         """The columnar staging path for a clean run in HEALTHY.
 
-        Decomposition (each leg bit-identical to the scalar loop):
+        Decomposition (each leg bit-identical to per-event :meth:`_apply`):
 
         1. the estimator's accumulator recurrence is sequential Python
            arithmetic (hoisted locals, same renormalization schedule),
@@ -748,7 +706,7 @@ class AdvisorSession:
         2. drift verdicts come from one ``DriftDetector.update_many``
            sweep — valid through the first alarm; on an alarm the
            transition resets the detectors, wiping any post-alarm
-           pollution exactly as the scalar path's reset does;
+           pollution exactly as :meth:`_stage`'s reset does;
         3. per-event vertex selections come from one vectorized
            ``select_vertices`` call over the trajectory (HEALTHY's only
            downward transition is the first alarm, so selections before
@@ -835,7 +793,7 @@ class AdvisorSession:
             self.clean_streak += cut
             # The transition resets the detectors and rebuilds the
             # estimator from the recent-stop window — exactly what the
-            # scalar path does after its alarm event.
+            # per-event path does after its alarm event.
             self._on_alarm("drift")
         staged = []
         for j in range(limit):
@@ -867,11 +825,11 @@ class AdvisorSession:
         ``k`` scalar ``rng.uniform()`` calls (the same fact
         ``Strategy.draw_thresholds`` relies on), so batching the N-Rand
         draws preserves the RNG stream bit-for-bit.  Fixed-threshold
-        specs consume nothing, and any generic spec falls back to
-        sequential draws for the whole run.
+        specs consume nothing, and a run of one or any generic spec
+        draws sequentially.
         """
         kinds = [item["spec"][0] for item in staged]
-        if "generic" in kinds:
+        if len(staged) == 1 or "generic" in kinds:
             thresholds = [self._draw_one(item["spec"]) for item in staged]
         else:
             n_random = sum(1 for kind in kinds if kind == "nrand")
@@ -898,13 +856,13 @@ class AdvisorSession:
     # * ``_stage``  — every state mutation that does NOT depend on the
     #   drawn threshold (learning, drift, health, histories).  Consumes
     #   no RNG, but *captures* the decision spec active at entry — the
-    #   strategy the scalar path would have drawn from.
+    #   strategy a per-event apply would have drawn from.
     # * ``_draw_one`` — consume the RNG for one staged event, exactly as
     #   the captured strategy's ``draw_threshold`` would.
     # * ``_finish`` — resolve the decision and account its cost.
     #
-    # The scalar path runs stage->draw->finish per event; the batched
-    # path stages a whole run, then draws for the run in event order
+    # WAL replay runs stage->draw->finish per event; live ingest
+    # stages a whole run, then draws for the run in event order
     # (one vectorized ``rng.uniform(size=k)`` when every randomized spec
     # is N-Rand — stream-identical to k scalar draws).  Legal because
     # no staged mutation reads the RNG and no draw reads staged state:
@@ -936,8 +894,8 @@ class AdvisorSession:
             return payload
         if kind == "nrand":
             # Inlined NRand.inverse_cdf(rng.uniform()): math.log1p, not
-            # np.log1p — they can differ by 1 ulp and the batched path
-            # must reproduce the scalar stream bit-for-bit.
+            # np.log1p — they can differ by 1 ulp and a run's batched
+            # draws must reproduce this stream bit-for-bit.
             u = self.rng.uniform()
             return payload * math.log1p(float(u) * (E - 1.0))
         return payload.draw_threshold(self.rng)
@@ -999,9 +957,9 @@ class AdvisorSession:
 
         This is the *only* code path that mutates session state from an
         event, used identically live and during WAL replay — which is
-        what makes recovery bit-identical.  (The batched path is pinned
-        to it by the equivalence harness; WAL replay itself always runs
-        per event through here.)
+        what makes recovery bit-identical.  (Live runs split it into
+        its legs; the equivalence harness pins them to it.  WAL replay
+        always runs per event through here.)
         """
         staged = self._stage(record)
         return self._finish(staged, self._draw_one(staged["spec"]))
@@ -1157,6 +1115,11 @@ class AdvisorSession:
         After replay the state is immediately re-compacted: the durable
         snapshot then equals the in-memory state and the WAL is empty,
         so a second crash right after recovery costs nothing.
+
+        State that cannot be rebuilt is refused, not guessed at: a WAL
+        frame past the snapshot that does not continue it seq by seq
+        raises :class:`~repro.service.wal.WalCorruptionError` (as does a
+        delta snapshot whose base is missing, in ``load``).
         """
         snapshot = self._snapshots.load()
         base_seq = 0
@@ -1167,8 +1130,15 @@ class AdvisorSession:
         self._replaying = True
         try:
             for record in self._wal.replay():
-                if int(record["seq"]) <= base_seq:
+                seq = int(record["seq"])
+                if seq <= base_seq:
                     continue  # already folded into the snapshot (compaction crashed mid-way)
+                if seq != self.applied + 1:
+                    raise WalCorruptionError(
+                        f"{self._wal.path}: frame seq {seq} does not continue "
+                        f"the durable state at seq {self.applied} — the events "
+                        f"between are missing"
+                    )
                 self._apply(record)
                 replayed += 1
         finally:
@@ -1185,7 +1155,7 @@ class AdvisorSession:
         the two steps leaves WAL records whose ``seq`` the snapshot
         already covers — replay skips them by the seq filter.
 
-        ``delta=True`` (the batched path) publishes a delta overlay
+        ``delta=True`` (live ingest) publishes a delta overlay
         against the last full snapshot when one exists and the overlay
         would actually be smaller — the scalar fields plus only the
         items appended to the bounded histories since the full base.

@@ -73,6 +73,7 @@ from pathlib import Path
 from ..engine.ledger import RunLedger, active_ledger, use_ledger
 from ..errors import InvalidParameterError, ReproError
 from .advisor import AdvisorService, RegisteredAdvisorService, gate_on_replication
+from .batch import _identifiable_vehicle
 
 __all__ = [
     "HashRing",
@@ -631,7 +632,7 @@ class ShardedAdvisorService:
                     records.append(None)
         groups: dict[int, tuple[list, list]] = {}
         for position, (line, record) in enumerate(zip(lines, records)):
-            vehicle = AdvisorService._identifiable_vehicle(record)
+            vehicle = _identifiable_vehicle(record)
             shard = self.ring.route(vehicle if vehicle is not None else line)
             bucket = groups.setdefault(shard, ([], []))
             bucket[0].append(position)

@@ -129,7 +129,7 @@ class Cell:
     tier: str  # "process", "shards" or "replica"
     fault: str  # "kill", "disk", "hang" or "poison"
     count: int  # faults the stream must hold
-    batch: int = 1  # process tier: columnar chunk size (1 = scalar ingest)
+    batch: int = 1  # process tier: ingest chunk size
 
 
 CELLS = {
@@ -200,10 +200,10 @@ def run_stream(
 
     ``injector`` is consulted with the global event index before each
     event — a ``"kill"`` fault SIGKILLs the process right there, which
-    is the whole point.  ``batch > 1`` serves through the columnar
-    ``process_batch`` path in chunks of that size; the injector is still
-    consulted per event index (before the chunk applies), so a kill can
-    land mid-plan and tear a group-commit.  ``fs`` is an optional
+    is the whole point.  Events are served through ``process_batch`` in
+    chunks of ``batch``; the injector is still consulted per event index
+    (before the chunk applies), so a kill can land mid-plan and tear a
+    group-commit.  ``fs`` is an optional
     :class:`repro.engine.faults.FsFaultInjector` threaded into the
     service's WAL/snapshot writers and the run ledger — the disk-fault
     chaos hook.
@@ -236,12 +236,6 @@ def run_stream(
 def _serve(
     service: AdvisorService, events: list[dict], injector, batch: int = 1
 ) -> None:
-    if batch <= 1:
-        for index, record in enumerate(events):
-            if injector is not None:
-                injector(index)
-            service.process(record)
-        return
     for start in range(0, len(events), batch):
         chunk = events[start : start + batch]
         if injector is not None:

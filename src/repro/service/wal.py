@@ -182,33 +182,8 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
 
     def append(self, record: dict) -> None:
-        """Durably append one record (flush always; fsync on request).
-
-        A previous crash can leave the file without a trailing newline.
-        Appending blindly would merge the new frame into that tail, so
-        the tail is healed first: a complete frame that lost only its
-        newline gets one (the record is preserved); a partial frame is
-        truncated away (it was never durable).
-        """
-        self._check("wal-append")
-        with open(self._path, "a+b") as handle:
-            size = handle.seek(0, os.SEEK_END)
-            if size:
-                handle.seek(size - 1)
-                if handle.read(1) != b"\n":
-                    handle.seek(0)
-                    data = handle.read()
-                    cut = data.rfind(b"\n") + 1
-                    tail = data[cut:].decode(errors="replace")
-                    if _unframe(tail) is not None:
-                        handle.write(b"\n")
-                    else:
-                        handle.truncate(cut)
-            handle.write((_frame(record) + "\n").encode())
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-                self._sync_dir_once()
+        """Durably append one record: a group-commit of one."""
+        self.append_many([record])
 
     def _sync_dir_once(self) -> None:
         """Make the log's directory entry durable, once per instance.
@@ -232,6 +207,12 @@ class WriteAheadLog:
         single ``write`` is atomic, but it does append sequentially;
         the prefix property is all recovery needs, and the torn-anywhere
         Hypothesis property in ``tests/test_service_wal.py`` pins it.)
+
+        A previous crash can leave the file without a trailing newline.
+        Appending blindly would merge the new frames into that tail, so
+        the tail is healed first: a complete frame that lost only its
+        newline gets one (the record is preserved); a partial frame is
+        truncated away (it was never durable).
         """
         if not records:
             return
@@ -353,7 +334,8 @@ class SnapshotStore:
     bulk is the dedup window.  Both files are published atomically, and
     the delta names the full snapshot it extends (``base_seq``): a delta
     left behind by a crash whose base has since moved is stale and
-    ignored, never half-applied.  Base seqs cannot collide: a delta at
+    ignored, never half-applied, and a delta whose base is missing is
+    corruption.  Base seqs cannot collide: a delta at
     ``seq`` proves the session durably reached ``seq``, and applied
     counts never move backwards, so no later full snapshot can reuse the
     delta's smaller ``base_seq``.
@@ -450,17 +432,30 @@ class SnapshotStore:
 
         A valid delta whose ``base_seq`` matches the full snapshot is
         merged in (appended list items are concatenated; the session's
-        bounded deques re-trim them on restore).  The CRCs guard against
-        at-rest corruption; because publication is atomic, a bad frame
-        here is never a torn write and always raises.
+        bounded deques re-trim them on restore); one that extends an
+        older base is stale and ignored.  A delta whose base is
+        *missing* — no full snapshot, or one older than the delta's
+        base — raises: a delta is only ever written after its base, so
+        the state it extends is lost.  The CRCs guard against at-rest
+        corruption; because publication is atomic, a bad frame here is
+        never a torn write and always raises.
         """
         if not os.path.exists(self._path):
+            if self._load_delta() is not None:
+                raise WalCorruptionError(
+                    f"{self._path}: a delta snapshot exists but its base does not"
+                )
             return None
         payload = _unframe(_read_text(self._path).strip())
         if payload is None or "seq" not in payload or "state" not in payload:
             raise WalCorruptionError(f"{self._path}: snapshot failed its CRC check")
         seq, state = int(payload["seq"]), payload["state"]
         delta = self._load_delta()
+        if delta is not None and int(delta["base_seq"]) > seq:
+            raise WalCorruptionError(
+                f"{self._path}: the delta snapshot extends a base at seq "
+                f"{delta['base_seq']}, but the full snapshot is at seq {seq}"
+            )
         if delta is not None and int(delta["base_seq"]) == seq:
             state = dict(state)
             state.update(delta["set"])

@@ -73,7 +73,7 @@ class CsvQuarantineWriter:
     def __init__(self, source: Path, report: ValidationReport) -> None:
         self.path = source.with_name(source.name + ".quarantine.csv")
         self._report = report
-        self._handle = None
+        self._file = None
         self._writer = None
         self._seen_lines: set[int | None] = set()
 
@@ -83,17 +83,17 @@ class CsvQuarantineWriter:
             return
         self._seen_lines.add(line)
         if self._writer is None:
-            self._handle = open(self.path, "w", newline="")
-            self._writer = csv.writer(self._handle)
+            self._file = open(self.path, "w", newline="")
+            self._writer = csv.writer(self._file)
             self._writer.writerow(["line", "check", "fields..."])
             self._report.add_quarantine_path(self.path)
         self._writer.writerow(["" if line is None else line, check, *row])
-        self._handle.flush()
+        self._file.flush()
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
 
 class JsonQuarantineWriter:

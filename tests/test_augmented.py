@@ -8,8 +8,9 @@ Four guarantees from the serving contract:
   every future λ) bit-identically — the state digest covers them;
 * **SAFE parity** — a SAFE augmented session is byte-identical to the
   plain session: same decisions, same RNG stream, same cost;
-* **batch == scalar** — ``submit_batch`` through the augmented staging
-  path reproduces the scalar loop bit-for-bit;
+* **batch == per-event apply** — ``submit_batch`` through the augmented
+  staging path reproduces ``_apply`` (the WAL replay path) run event by
+  event, bit-for-bit;
 * **robustness** — with adversarially corrupted predictions the
   realized cost never exceeds the PSK ``1 + 1/λ`` bound, while good
   time-of-day predictions beat the plain adaptive session.
@@ -153,10 +154,12 @@ class TestSafeParity:
 
 class TestBatchParity:
     def test_submit_batch_matches_scalar_bit_for_bit(self):
+        # The reference applies each (all valid) event through _apply,
+        # the per-event path WAL replay uses.
         scalar = AugmentedAdvisorSession("v1", AUG_CONFIG)
         scalar_decisions = [
-            scalar.submit(event_id, timestamp, stop_length)
-            for event_id, timestamp, stop_length in EVENTS
+            scalar._apply({"seq": seq, "id": event_id, "t": timestamp, "y": stop_length})
+            for seq, (event_id, timestamp, stop_length) in enumerate(EVENTS, start=1)
         ]
         batched = AugmentedAdvisorSession("v1", AUG_CONFIG)
         batched_decisions = []

@@ -1,34 +1,37 @@
-"""Equivalence harness: the columnar batch path vs the scalar event loop.
+"""Equivalence harness: the one ingest path vs an independent model.
 
-The batched serving path (``AdvisorSession.submit_batch``,
-``AdvisorService.process_batch``/``ingest_lines``, ``serve --batch N``)
-promises to be an *optimization only*: for any event stream and any
-batch-boundary split, the decisions returned, the session state digest
-(which pins the estimator, the drift detectors, the health ladder, the
-bounded histories AND the RNG stream), the ingestion counters, and the
-emitted ledger events are bit-identical to feeding the same stream
-through the per-event scalar loop — including recovery after a kill
-mid-group-commit.
+Every event enters a session through ``AdvisorSession.submit_batch``
+(``submit`` is a batch of one; ``AdvisorService.process``/``ingest_line``
+are chunks of one through ``process_batch``/``ingest_lines``).  For any
+event stream and any batch-boundary split, the decisions returned, the
+session state digest (which pins the estimator, the drift detectors,
+the health ladder, the bounded histories AND the RNG stream), the
+ingestion counters and the flagged checks must equal
+:class:`AdmissionModel` — a per-event reference written here, apart from
+the code under test: dedup, value guard and clock checks of its own,
+with each accepted event applied through ``AdvisorSession._apply``
+(the apply path WAL replay uses) on an in-memory session.
 
 Layers:
 
 * Hypothesis property at the session level: adversarial streams
-  (duplicates, stale timestamps, NaN/negative values, drift-inducing
-  regime shifts) under ANY chunking == the scalar loop, event for
-  event;
+  (duplicates, stale and non-finite timestamps, NaN/negative values,
+  drift-inducing regime shifts) under ANY chunking == the model, event
+  for event;
 * Hypothesis property at the service level: multi-vehicle interleaved
   streams with malformed records mixed in;
 * Hypothesis recovery property: abandon a durable batched session at
   any split (optionally tearing the WAL group-commit at any byte),
-  recover, redeliver everything — digest equals the uninterrupted
-  scalar reference;
-* deterministic pins: ``--batch 1`` equals the default loop, strict
-  policy still raises, ledger transition parity, and a real-SIGKILL
-  chaos cycle in batch mode (marked ``slow``).
+  recover, redeliver everything — digest equals the model's;
+* deterministic pins: batches of one equal the model, strict policy
+  still raises, ledger transition parity across chunkings, and a
+  real-SIGKILL chaos cycle in batch mode (marked ``slow``).
 """
 
 import json
+import math
 import tempfile
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,6 +45,8 @@ from repro.errors import DataValidationError
 from repro.service import AdvisorService, AdvisorSession, SessionConfig
 from repro.service.batch import ColumnarRun, MalformedEvent, plan_chunk
 from repro.service.soak import CELLS, build_fleet_events, run_cell, run_stream
+from repro.validation import ValidationReport
+from repro.validation.schemas import stop_event_findings
 
 B = 28.0
 
@@ -62,11 +67,57 @@ CONFIG = SessionConfig(
 )
 
 
-def _scalar_reference(events):
-    """Uninterrupted scalar run: decisions + digest + counters."""
-    session = AdvisorSession("v1", CONFIG)
-    decisions = [session.submit(*event) for event in events]
-    return decisions, session
+class AdmissionModel:
+    """Per-event reference for one vehicle's admission and apply.
+
+    Dedup over the last ``dedup_window`` accepted ids, then the value
+    guard, then a finite and monotone clock; a duplicate is counted, a
+    rejection is counted, recorded by check name and fed to the failure
+    streak.  Accepted events go through ``_apply`` on an in-memory
+    session, one by one, exactly as WAL replay applies them.
+    """
+
+    def __init__(self, vehicle="v1", config=CONFIG):
+        self.session = config.build_session(vehicle)
+        self.window = deque(maxlen=config.dedup_window)
+        self.clock = None
+        self.duplicates = 0
+        self.rejected = 0
+        self.checks = []
+
+    def submit(self, event_id, timestamp, stop_length):
+        if event_id in self.window:
+            self.duplicates += 1
+            return None
+        if not math.isfinite(stop_length):
+            check = "non-finite-duration"
+        elif stop_length < 0.0:
+            check = "negative-duration"
+        elif not math.isfinite(timestamp):
+            check = "non-finite-start-time"
+        elif self.clock is not None and timestamp < self.clock:
+            check = "non-monotonic-timestamp"
+        else:
+            self.window.append(event_id)
+            self.clock = timestamp
+            return self.session._apply(
+                {
+                    "seq": self.session.applied + 1,
+                    "id": event_id,
+                    "t": timestamp,
+                    "y": stop_length,
+                }
+            )
+        self.rejected += 1
+        self.checks.append(check)
+        self.session.note_invalid_event(check)
+        return None
+
+
+def _model_run(events):
+    """The model over a whole stream: its decisions and the model."""
+    model = AdmissionModel()
+    return [model.submit(*event) for event in events], model
 
 
 def _chunked(items, sizes):
@@ -91,7 +142,7 @@ def adversarial_stream(draw):
     for index in range(n):
         kind = draw(
             st.sampled_from(
-                ["ok", "ok", "ok", "ok", "ok", "dup", "stale", "nan", "neg"]
+                ["ok", "ok", "ok", "ok", "ok", "dup", "stale", "nan", "neg", "clock"]
             )
         )
         # Two regimes, switched mid-stream, so the Page-Hinkley tests
@@ -112,6 +163,9 @@ def adversarial_stream(draw):
             events.append((f"n-{index:03d}", clock, float("nan")))
         elif kind == "neg":
             events.append((f"g-{index:03d}", clock, -abs(value) - 0.5))
+        elif kind == "clock":
+            bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+            events.append((f"c-{index:03d}", bad, value))
         else:
             events.append((f"e-{index:03d}", clock, value))
     sizes = draw(
@@ -123,10 +177,11 @@ def adversarial_stream(draw):
 @given(adversarial_stream())
 @settings(max_examples=60, deadline=None)
 def test_submit_batch_any_split_bit_identical(case):
-    """For ANY stream and ANY chunking, submit_batch == scalar submit."""
+    """For ANY stream and ANY chunking, submit_batch == the model."""
     events, sizes = case
-    scalar_decisions, scalar = _scalar_reference(events)
-    batched = AdvisorSession("v1", CONFIG)
+    model_decisions, model = _model_run(events)
+    report = ValidationReport("repair")
+    batched = AdvisorSession("v1", CONFIG, report=report)
     batched_decisions = []
     for chunk in _chunked(events, sizes):
         batched_decisions.extend(
@@ -136,12 +191,13 @@ def test_submit_batch_any_split_bit_identical(case):
                 [event[2] for event in chunk],
             )
         )
-    assert batched_decisions == scalar_decisions
-    assert batched.state_digest() == scalar.state_digest()
+    assert batched_decisions == model_decisions
+    assert batched.state_digest() == model.session.state_digest()
     assert (batched.duplicates, batched.rejected) == (
-        scalar.duplicates,
-        scalar.rejected,
+        model.duplicates,
+        model.rejected,
     )
+    assert [issue.check for issue in report.issues] == model.checks
 
 
 @st.composite
@@ -176,38 +232,92 @@ def fleet_stream(draw):
     return records, sizes
 
 
+def _model_fleet(records):
+    """The service-level model: schema validation, then one
+    :class:`AdmissionModel` per vehicle; a malformed record feeds the
+    failure streak of a vehicle already being served."""
+    models = {}
+    decisions = []
+    checks = []
+    malformed = 0
+    for record in records:
+        findings, event = stop_event_findings(record)
+        if event is None:
+            malformed += 1
+            checks.extend(check for check, _message in findings)
+            vehicle = record.get("vehicle") if isinstance(record, dict) else None
+            if isinstance(vehicle, str) and vehicle in models:
+                models[vehicle].session.note_invalid_event(findings[0][0])
+            decisions.append(None)
+            continue
+        event_id, vehicle, timestamp, stop_length = event
+        if vehicle not in models:
+            models[vehicle] = AdmissionModel(vehicle)
+        decisions.append(models[vehicle].submit(event_id, timestamp, stop_length))
+    for model in models.values():
+        checks.extend(model.checks)
+    return decisions, models, malformed, checks
+
+
+def _assert_service_matches_model(service, decisions, records):
+    """Decisions, per-vehicle state, counters and flagged checks."""
+    model_decisions, models, malformed, checks = _model_fleet(records)
+    assert decisions == model_decisions
+    snapshot = service.health_snapshot()
+    expected = {}
+    for vehicle, model in models.items():
+        expected[vehicle] = model.session.health_snapshot()
+        expected[vehicle]["delivery"] = {
+            "duplicates": model.duplicates,
+            "rejected": model.rejected,
+        }
+    assert snapshot["vehicles"] == expected
+    assert snapshot["fleet_cost"] == sum(
+        models[vehicle].session.total_cost for vehicle in sorted(models)
+    )
+    ingest = snapshot["ingest"]
+    assert (ingest["received"], ingest["malformed"], ingest["shed"]) == (
+        len(records),
+        malformed,
+        0,
+    )
+    assert (ingest["duplicates"], ingest["rejected"]) == (
+        sum(model.duplicates for model in models.values()),
+        sum(model.rejected for model in models.values()),
+    )
+    # Row order within a chunk may interleave differently across
+    # vehicles, so the findings compare as a multiset.
+    assert sorted(issue.check for issue in service.report.issues) == sorted(checks)
+
+
 @given(fleet_stream())
 @settings(max_examples=40, deadline=None)
 def test_service_batch_any_split_bit_identical(case):
-    """Multi-vehicle chunks == per-event processing, malformed included."""
+    """Multi-vehicle chunks of any size == the model, malformed included."""
     records, sizes = case
     with tempfile.TemporaryDirectory() as tmp:
-        scalar = AdvisorService(Path(tmp) / "scalar", CONFIG, policy="repair")
-        scalar_decisions = [scalar.process(record) for record in records]
-        scalar.close()
-        scalar_snapshot = scalar.health_snapshot()
-
         batched = AdvisorService(Path(tmp) / "batched", CONFIG, policy="repair")
         batched_decisions = []
         for chunk in _chunked(records, sizes):
             batched_decisions.extend(batched.process_batch(chunk))
         batched.close()
-        batched_snapshot = batched.health_snapshot()
+    _assert_service_matches_model(batched, batched_decisions, records)
 
-    assert batched_decisions == scalar_decisions
-    assert batched_snapshot["vehicles"] == scalar_snapshot["vehicles"]
-    assert batched_snapshot["fleet_cost"] == scalar_snapshot["fleet_cost"]
-    assert batched_snapshot["states"] == scalar_snapshot["states"]
-    scalar_ingest = dict(scalar_snapshot["ingest"])
-    batched_ingest = dict(batched_snapshot["ingest"])
-    scalar_ingest.pop("batch")
-    batched_ingest.pop("batch")
-    assert batched_ingest == scalar_ingest
-    # The validation report records the same findings (row order within
-    # a chunk may interleave differently across vehicles).
-    assert sorted(
-        (issue.check, issue.message) for issue in batched.report.issues
-    ) == sorted((issue.check, issue.message) for issue in scalar.report.issues)
+
+@given(fleet_stream())
+@settings(max_examples=20, deadline=None)
+def test_service_process_and_ingest_line_match_the_model(case):
+    """Chunks of one — ``process`` and ``ingest_line`` — == the model."""
+    records, _sizes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        by_record = AdvisorService(Path(tmp) / "process", CONFIG, policy="repair")
+        decisions = [by_record.process(record) for record in records]
+        by_record.close()
+        by_line = AdvisorService(Path(tmp) / "lines", CONFIG, policy="repair")
+        line_decisions = [by_line.ingest_line(json.dumps(record)) for record in records]
+        by_line.close()
+    _assert_service_matches_model(by_record, decisions, records)
+    _assert_service_matches_model(by_line, line_decisions, records)
 
 
 @st.composite
@@ -231,12 +341,12 @@ def durable_case(draw):
 def test_batched_recovery_any_split_any_tear(case):
     """Abandon a durable batched run anywhere — optionally tearing the
     last WAL group-commit at an arbitrary byte — then recover and
-    redeliver the full stream in batches: bit-identical to the scalar
-    uninterrupted reference.  Exercises delta snapshots throughout
-    (snapshot_every=4 compacts on nearly every batch)."""
+    redeliver the full stream in batches: bit-identical to the model.
+    Exercises delta snapshots throughout (snapshot_every=4 compacts on
+    nearly every batch)."""
     events, split, chunk, tear = case
-    _, reference = _scalar_reference(events)
-    expected = reference.state_digest()
+    _, model = _model_run(events)
+    expected = model.session.state_digest()
     with tempfile.TemporaryDirectory() as tmp:
         state_dir = Path(tmp) / "v1"
         first = AdvisorSession("v1", CONFIG, state_dir)
@@ -266,15 +376,20 @@ def test_batched_recovery_any_split_any_tear(case):
 
 
 def test_batch_of_one_equals_scalar():
-    """submit_batch with singleton batches IS the scalar loop."""
+    """submit and singleton submit_batch calls both equal the model."""
     events = [(f"e-{i:03d}", float(i), float((i * 37) % 200)) for i in range(25)]
-    scalar_decisions, scalar = _scalar_reference(events)
+    events += [events[3], ("late", 1.0, 5.0), ("inf", math.inf, 5.0)]
+    model_decisions, model = _model_run(events)
     batched = AdvisorSession("v1", CONFIG)
     decisions = []
     for event_id, timestamp, stop_length in events:
         decisions.extend(batched.submit_batch([event_id], [timestamp], [stop_length]))
-    assert decisions == scalar_decisions
-    assert batched.state_digest() == scalar.state_digest()
+    single = AdvisorSession("v1", CONFIG)
+    assert [single.submit(*event) for event in events] == model_decisions
+    assert decisions == model_decisions
+    for session in (batched, single):
+        assert session.state_digest() == model.session.state_digest()
+        assert (session.duplicates, session.rejected) == (1, 2)
 
 
 def test_strict_policy_still_raises_in_batch_mode(tmp_path):

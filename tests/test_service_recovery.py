@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.service import AdvisorSession, SessionConfig
 from repro.service.soak import CELLS, build_fleet_events, run_cell, run_stream
+from repro.service.wal import WalCorruptionError
 
 B = 28.0
 N_EVENTS = 40
@@ -151,6 +152,40 @@ class TestSplitRecovery:
             seq, state = recovered._snapshots.load()
             assert seq == 7
             assert state == recovered.to_state()
+
+    def test_a_wal_gap_past_the_snapshot_is_refused(self):
+        # Frames 2..4 past a snapshot at seq 0 cannot rebuild the state:
+        # event 1 is lost.  Recovery must say so, not apply 2..4.
+        config = replace(CONFIG, snapshot_every=1000)
+        with tempfile.TemporaryDirectory() as tmp:
+            state_dir = Path(tmp) / "v1"
+            first = AdvisorSession("v1", config, state_dir)
+            for event_id, timestamp, stop_length in EVENTS[:4]:
+                first.submit(event_id, timestamp, stop_length)
+            del first
+            wal_path = state_dir / "wal.jsonl"
+            lines = wal_path.read_text().splitlines(keepends=True)
+            wal_path.write_text("".join(lines[1:]))
+            with pytest.raises(WalCorruptionError, match="seq 2"):
+                AdvisorSession("v1", config, state_dir)
+
+    def test_non_finite_timestamps_are_rejected_durably(self):
+        # The WAL cannot encode a non-finite clock, and an accepted one
+        # would make every later event look stale: reject and count it.
+        with tempfile.TemporaryDirectory() as tmp:
+            session = AdvisorSession("v1", CONFIG, Path(tmp) / "v1")
+            decisions = session.submit_batch(
+                ["a", "b", "c", "d"],
+                [1.0, float("inf"), float("nan"), 2.0],
+                [5.0, 5.0, 5.0, 5.0],
+            )
+            assert [decision is None for decision in decisions] == [
+                False, True, True, False
+            ]
+            assert (session.applied, session.rejected) == (2, 2)
+            assert [issue.check for issue in session._enforcer.report.issues] == [
+                "non-finite-start-time"
+            ] * 2
 
 
 class TestSigkillChaosPin:

@@ -46,7 +46,7 @@ from repro.service.replica import (
 from repro.service.session import SessionConfig
 from repro.service.shard import ShardLockError, acquire_shard_lock, release_shard_lock
 from repro.service.soak import build_fleet_events, run_stream
-from repro.service.wal import WriteAheadLog
+from repro.service.wal import WalCorruptionError, WriteAheadLog
 
 #: snapshot_every=5 keeps compaction (and delta sidecars) in play for
 #: most shipping passes — the trickiest replication window.
@@ -62,11 +62,18 @@ CONFIG = SessionConfig(
 EVENTS = build_fleet_events(vehicles=3, stops_per_vehicle=12, seed=21)
 
 
-def _serve_registered(events, state_dir, *, config=CONFIG, close=True):
-    """Run a registered (promotable) primary; optionally crash-abandon it."""
+def _serve_registered(events, state_dir, *, config=CONFIG, close=True, chunk=None):
+    """Run a registered (promotable) primary; optionally crash-abandon it.
+
+    ``chunk`` serves through ``process_batch`` in chunks of that size
+    instead of one ``process`` call per record."""
     service = RegisteredAdvisorService(Path(state_dir), config, policy="repair")
-    for record in events:
-        service.process(record)
+    if chunk is None:
+        for record in events:
+            service.process(record)
+    else:
+        for start in range(0, len(events), chunk):
+            service.process_batch(events[start : start + chunk])
     if close:
         service.close()
         return service.health_snapshot()
@@ -113,8 +120,6 @@ class TestFollow:
         assert fresh.tail_torn
 
     def test_follow_raises_on_mid_file_corruption(self, tmp_path):
-        from repro.service.wal import WalCorruptionError
-
         wal = WriteAheadLog(tmp_path / "wal.jsonl")
         wal.append({"seq": 1})
         wal.append({"seq": 2})
@@ -141,6 +146,41 @@ class TestShipAndPromote:
         assert stats["frames"] > 0  # abandoned primary leaves WAL tail
         promoted = promote(standby, CONFIG, fence=primary)
         assert promoted["digests"] == reference
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 16])
+    def test_batched_primary_promotes_bit_identically(
+        self, tmp_path, reference, chunk
+    ):
+        # A batched primary compacts into deltas over a base snapshot at
+        # seq 0; the standby needs that base, or promote rebuilds the
+        # sessions from the WAL tail alone.
+        primary = tmp_path / "primary"
+        standby = tmp_path / "standby"
+        _serve_registered(EVENTS, primary, close=False, chunk=chunk)
+        stats = sync_once(primary, LocalReplicaTarget(standby))
+        assert stats["snapshots"] == len(session_dirs(primary))
+        doctor = fleet_doctor(primary, replica_dir=standby)
+        assert doctor["ok"], doctor["problems"]
+        promoted = promote(standby, CONFIG, fence=primary)
+        assert promoted["digests"] == reference
+
+    def test_a_delta_without_its_base_is_refused(self, tmp_path):
+        primary = tmp_path / "primary"
+        _serve_registered(EVENTS, primary, close=False, chunk=4)
+        damaged = [
+            vdir for _key, vdir in session_dirs(primary)
+            if (vdir / "snapshot.json.delta").exists()
+        ]
+        assert damaged
+        for vdir in damaged:
+            (vdir / "snapshot.json").unlink()
+        doctor = fleet_doctor(primary)
+        assert not doctor["ok"]
+        assert sum("snapshot-corrupt" in line for line in doctor["problems"]) == len(
+            damaged
+        )
+        with pytest.raises(WalCorruptionError, match="base"):
+            promote(primary, CONFIG)
 
     def test_incremental_catchup_ships_only_new_frames(self, tmp_path):
         primary = tmp_path / "primary"
@@ -353,6 +393,33 @@ class TestBackupRestore:
         shorter = _digests(
             _serve_registered(events[:upto], tmp_path / "short", config=config)
         )
+        assert promoted["digests"] == shorter
+
+    @pytest.mark.parametrize("chunk", [1, 4])
+    @pytest.mark.parametrize("upto", [2, 7, 11])
+    def test_pitr_over_delta_history_restores_the_prefix_or_refuses(
+        self, tmp_path, upto, chunk
+    ):
+        # Delta compactions reset the WAL, so the frames between a base
+        # and its delta survive nowhere: a restore point between them
+        # must be refused, never rebuilt from the base alone.
+        events = build_fleet_events(vehicles=1, stops_per_vehicle=12, seed=3)
+        primary = tmp_path / "primary"
+        archive = tmp_path / "archive"
+        restored = tmp_path / "restored"
+        _serve_registered(events, primary, close=False, chunk=chunk)
+        backup(primary, archive)
+        try:
+            restore(archive, restored, upto_seq=upto)
+        except ReplicationError as exc:
+            assert "compaction already consumed" in str(exc)
+            assert not session_dirs(restored)  # refused before any write
+            # With chunk 1 the delta at seq 10 and the frames 11-12
+            # survive, so seq 11 is restorable and must not be refused.
+            assert (upto, chunk) != (11, 1)
+            return
+        promoted = promote(restored, CONFIG)
+        shorter = _digests(_serve_registered(events[:upto], tmp_path / "short"))
         assert promoted["digests"] == shorter
 
     def test_pitr_refuses_history_already_compacted_away(self, tmp_path):

@@ -307,3 +307,15 @@ class TestSnapshotDeltas:
         store.delta_path.write_text(store.delta_path.read_text()[:-3])
         with pytest.raises(WalCorruptionError, match="delta"):
             store.load()
+
+    def test_a_delta_without_its_base_raises(self, tmp_path):
+        # A delta is only ever written after its base, so a delta whose
+        # base is missing means the state it extends is lost.
+        store = SnapshotStore(tmp_path / "snapshot.json")
+        store.save_delta(12, 0, {"applied": 12}, {})
+        with pytest.raises(WalCorruptionError, match="base"):
+            store.load()
+        store.save(5, {"applied": 5})
+        store.save_delta(12, 10, {"applied": 12}, {})  # extends seq 10, not 5
+        with pytest.raises(WalCorruptionError, match="base"):
+            store.load()
