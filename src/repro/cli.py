@@ -86,6 +86,71 @@ _FAST_PARAMS = {
 }
 
 
+def _add_session_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that define a session's configuration.
+
+    ``serve`` and ``promote`` share them: recovery is bit-identical only
+    under the configuration the sessions ran with (built by
+    :func:`_session_config`).
+    """
+    parser.add_argument(
+        "--break-even",
+        type=float,
+        default=B_SSV,
+        help=f"break-even interval B in seconds (default: {B_SSV:g} for SSV)",
+    )
+    parser.add_argument(
+        "--safe-strategy",
+        choices=("nrand", "det"),
+        default="nrand",
+        help="distribution-free fallback in the SAFE state: nrand "
+        "(expected CR e/(e-1)) or det (worst-case CR 2)",
+    )
+    parser.add_argument(
+        "--snapshot-every",
+        type=int,
+        default=64,
+        help="compact the WAL into a snapshot every N applied events",
+    )
+    parser.add_argument("--seed", type=int, default=None, help="RNG base seed")
+    parser.add_argument(
+        "--predictor",
+        default="none",
+        metavar="SPEC",
+        help="learning-augmented advising: stop-length predictor feeding "
+        "the PSK interpolation — none (default), contextual (hour-of-day "
+        "running means learned from the stream itself), "
+        "contextual:MIN:DECAY, or constant:VALUE (adversarial testing); "
+        "see docs/serving.md 'Learning-augmented advising'",
+    )
+    parser.add_argument(
+        "--trust",
+        type=float,
+        default=None,
+        metavar="LAMBDA",
+        help="pin the PSK trust weight lambda in (0, 1] (default: learn "
+        "it online from the predictor's wrong-side rate; the per-stop "
+        "robustness bound is 1 + 1/lambda either way)",
+    )
+    parser.add_argument(
+        "--cvar-alpha",
+        type=float,
+        default=None,
+        metavar="ALPHA",
+        help="tail-risk control: constrain the per-stop CVaR over the "
+        "worst ALPHA-fraction of threshold draws to --cvar-cap times "
+        "the offline optimum (governs stops with no usable prediction)",
+    )
+    parser.add_argument(
+        "--cvar-cap",
+        type=float,
+        default=2.0,
+        metavar="TAU",
+        help="tail-cost cap for --cvar-alpha, as a multiple of the "
+        "offline optimum (default 2.0 — DET's unconditional worst case)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .experiments import EXPERIMENTS  # the ids only; no experiment is imported
 
@@ -325,8 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         required=True,
         help="durable state root (WAL + snapshots per vehicle); restarting "
-        "with the same directory recovers bit-identically",
+        "with the same directory and session flags recovers every session "
+        "bit-identically",
     )
+    _add_session_config_flags(serve)
     serve.add_argument(
         "--policy",
         choices=_POLICY_CHOICES,
@@ -341,25 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="append advisor state transitions to this JSONL run ledger "
         "and print its summary",
-    )
-    serve.add_argument(
-        "--break-even",
-        type=float,
-        default=B_SSV,
-        help=f"break-even interval B in seconds (default: {B_SSV:g} for SSV)",
-    )
-    serve.add_argument(
-        "--safe-strategy",
-        choices=("nrand", "det"),
-        default="nrand",
-        help="distribution-free fallback in the SAFE state: nrand "
-        "(expected CR e/(e-1)) or det (worst-case CR 2)",
-    )
-    serve.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=64,
-        help="compact the WAL into a snapshot every N applied events",
     )
     serve.add_argument(
         "--max-queue",
@@ -380,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the final health snapshot as JSON to this path",
     )
-    serve.add_argument("--seed", type=int, default=None, help="RNG base seed")
     serve.add_argument(
         "--fsync",
         action="store_true",
@@ -431,42 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         ":PORT; GET /health on the same socket returns the fleet "
         "snapshot (requires --shards; pass events '-' with no piped "
         "stdin to serve socket-only)",
-    )
-    serve.add_argument(
-        "--predictor",
-        default="none",
-        metavar="SPEC",
-        help="learning-augmented advising: stop-length predictor feeding "
-        "the PSK interpolation — none (default), contextual (hour-of-day "
-        "running means learned from the stream itself), "
-        "contextual:MIN:DECAY, or constant:VALUE (adversarial testing); "
-        "see docs/serving.md 'Learning-augmented advising'",
-    )
-    serve.add_argument(
-        "--trust",
-        type=float,
-        default=None,
-        metavar="LAMBDA",
-        help="pin the PSK trust weight lambda in (0, 1] (default: learn "
-        "it online from the predictor's wrong-side rate; the per-stop "
-        "robustness bound is 1 + 1/lambda either way)",
-    )
-    serve.add_argument(
-        "--cvar-alpha",
-        type=float,
-        default=None,
-        metavar="ALPHA",
-        help="tail-risk control: constrain the per-stop CVaR over the "
-        "worst ALPHA-fraction of threshold draws to --cvar-cap times "
-        "the offline optimum (governs stops with no usable prediction)",
-    )
-    serve.add_argument(
-        "--cvar-cap",
-        type=float,
-        default=2.0,
-        metavar="TAU",
-        help="tail-cost cap for --cvar-alpha, as a multiple of the "
-        "offline optimum (default 2.0 — DET's unconditional worst case)",
     )
 
     ledger_cmd = sub.add_parser(
@@ -541,10 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="promote a standby state dir to primary: fence the old "
         "primary's shard locks, recover every session bit-identically, "
         "and print the fleet digest",
+        description="Recovery is bit-identical only under the primary's "
+        "exact session configuration: pass the session flags it was "
+        "served with.",
     )
     promote_cmd.add_argument(
         "state_dir", type=Path, help="standby state directory to promote"
     )
+    _add_session_config_flags(promote_cmd)
     promote_cmd.add_argument(
         "--fence",
         type=Path,
@@ -552,29 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="old primary's state directory: refuse promotion while a "
         "live process still owns a shard.lock there (split-brain guard)",
-    )
-    promote_cmd.add_argument(
-        "--break-even",
-        type=float,
-        default=B_SSV,
-        help=f"break-even interval B in seconds (default: {B_SSV:g}); "
-        "must match the primary's configuration",
-    )
-    promote_cmd.add_argument(
-        "--safe-strategy",
-        choices=("nrand", "det"),
-        default="nrand",
-        help="SAFE-state fallback; must match the primary's configuration",
-    )
-    promote_cmd.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=64,
-        help="WAL compaction cadence; must match the primary's "
-        "configuration",
-    )
-    promote_cmd.add_argument(
-        "--seed", type=int, default=None, help="RNG base seed (match primary)"
     )
     promote_cmd.add_argument(
         "--policy",
@@ -1097,13 +1089,38 @@ def _data_doctor(args) -> int:
     return 0
 
 
+def _session_config(args):
+    """The session configuration :func:`_add_session_config_flags`
+    describes: an augmented one when any learning-augmented flag is set."""
+    from .service.session import SessionConfig
+
+    _warn_break_even(args.break_even)
+    kwargs = dict(
+        break_even=args.break_even,
+        safe_strategy=args.safe_strategy,
+        snapshot_every=args.snapshot_every,
+    )
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    if args.predictor == "none" and args.trust is None and args.cvar_alpha is None:
+        return SessionConfig(**kwargs)
+    from .service.augmented import AugmentedSessionConfig
+
+    return AugmentedSessionConfig(
+        predictor=args.predictor,
+        trust=args.trust,
+        cvar_alpha=args.cvar_alpha,
+        cvar_cap=args.cvar_cap,
+        **kwargs,
+    )
+
+
 def _serve(args) -> int:
     """``serve``: stream JSONL stop events through the advisor service."""
     import json
 
     from .experiments import format_table
     from .service import AdvisorService
-    from .service.session import SessionConfig
 
     if args.batch < 1:
         print(f"error: --batch must be >= 1, got {args.batch}", file=sys.stderr)
@@ -1114,31 +1131,7 @@ def _serve(args) -> int:
     if args.listen is not None and args.shards is None:
         print("error: --listen requires --shards N", file=sys.stderr)
         return 2
-    _warn_break_even(args.break_even)
-    config_kwargs = dict(
-        break_even=args.break_even,
-        safe_strategy=args.safe_strategy,
-        snapshot_every=args.snapshot_every,
-    )
-    if args.seed is not None:
-        config_kwargs["seed"] = args.seed
-    augmented = (
-        args.predictor != "none"
-        or args.trust is not None
-        or args.cvar_alpha is not None
-    )
-    if augmented:
-        from .service.augmented import AugmentedSessionConfig
-
-        config_kwargs.update(
-            predictor=args.predictor,
-            trust=args.trust,
-            cvar_alpha=args.cvar_alpha,
-            cvar_cap=args.cvar_cap,
-        )
-        config = AugmentedSessionConfig(**config_kwargs)
-    else:
-        config = SessionConfig(**config_kwargs)
+    config = _session_config(args)
     if args.shards is not None:
         return _serve_sharded(args, config)
     ledger = (
@@ -1436,28 +1429,9 @@ def _replicate(args) -> int:
         target.close()
     print(f"shipped to {where}: {totals['passes']} pass(es), "
           f"{totals['frames']} frame(s), {totals['snapshots']} snapshot(s), "
-          f"{totals['deltas']} delta(s), {totals['registries']} registry "
-          f"update(s), {totals['channel_errors']} channel error(s)")
+          f"{totals['deltas']} delta(s), "
+          f"{totals['channel_errors']} channel error(s)")
     return 0
-
-
-def _promotion_config(args):
-    """Build the :class:`SessionConfig` a promoted standby must run with.
-
-    Bit-identical continuation requires the exact configuration the
-    primary ran — the flags mirror ``serve``'s.
-    """
-    from .service.session import SessionConfig
-
-    _warn_break_even(args.break_even)
-    kwargs = dict(
-        break_even=args.break_even,
-        safe_strategy=args.safe_strategy,
-        snapshot_every=args.snapshot_every,
-    )
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return SessionConfig(**kwargs)
 
 
 def _promote(args) -> int:
@@ -1466,7 +1440,7 @@ def _promote(args) -> int:
 
     result = promote(
         args.state_dir,
-        _promotion_config(args),
+        _session_config(args),
         fence=args.fence,
         policy=args.policy,
         fsync=args.fsync,

@@ -45,7 +45,6 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     ".advisor": (
         "AdvisorService",
-        "RegisteredAdvisorService",
         "parse_event_line",
     ),
     ".augmented": (
@@ -102,7 +101,6 @@ __all__ = [
     "JsonlFrontend",
     "LocalReplicaTarget",
     "PageHinkley",
-    "RegisteredAdvisorService",
     "RemoteReplicaTarget",
     "ReplicaServer",
     "ReplicationError",

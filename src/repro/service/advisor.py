@@ -3,7 +3,11 @@
 :class:`AdvisorService` owns one :class:`~repro.service.session.AdvisorSession`
 per vehicle, each with its own sub-directory of the service state
 directory (WAL + snapshot), a shared validation report/quarantine
-sidecar, and a bounded ingestion queue:
+sidecar, and a bounded ingestion queue.  Opening a root — a flat
+``serve`` dir, a shard, a promoted standby, a restored archive — opens
+every session found there, each named by its own base snapshot
+(:func:`repro.service.wal.identify_session`), so health, digests and
+fleet cost cover the whole fleet from the first poll:
 
 * ``offer(record)`` enqueues one raw event; when the queue is full the
   event is **shed and counted** (explicit backpressure — the caller
@@ -29,10 +33,8 @@ when the vehicle is identifiable.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import re
+import os  # noqa: F401  (see _registered below)
 import time
 from collections import deque
 from pathlib import Path
@@ -41,42 +43,19 @@ from ..engine.ledger import active_ledger
 from ..validation import CsvQuarantineWriter, PolicyEnforcer, ValidationReport
 from .batch import MalformedEvent, plan_chunk
 from .session import AdvisorSession, SessionConfig
+from .wal import VEHICLES_DIR, _vehicle_dirname, identify_session, list_session_dirs
 
 __all__ = [
-    "REGISTRY_NAME",
     "AdvisorService",
     "RegisteredAdvisorService",
     "gate_on_replication",
     "parse_event_line",
 ]
 
-#: JSONL registry of every vehicle id a service root has ever held —
-#: hashed session directory names cannot be inverted, so warm recovery
-#: (shard respawn, standby promotion) replays this file to rebuild each
-#: session under its correct RNG seed.
-REGISTRY_NAME = "vehicles.idx"
-
 #: Backpressure ledger warnings fire on the first shed event and at
 #: every multiple of this — loud enough to see overload in the run
 #: ledger, quiet enough not to amplify it.
 _SHED_WARN_EVERY = 1000
-
-_UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]")
-
-
-def _vehicle_dirname(vehicle_id: str) -> str:
-    """A filesystem-safe, collision-free directory name per vehicle.
-
-    The name always ends in a hash of the exact id, so distinct ids can
-    never share a directory — not even ids differing only in case on a
-    case-insensitive filesystem (macOS/Windows), and not an id that
-    happens to look like another id's hashed name.  A sanitized prefix
-    of the id is kept for operator readability.
-    """
-    digest = hashlib.sha256(vehicle_id.encode()).hexdigest()[:16]
-    prefix = _UNSAFE_CHARS.sub("_", vehicle_id)[:48].lstrip(".")
-    return f"{prefix}-{digest}" if prefix else f"veh-{digest}"
-
 
 def gate_on_replication(replication, reasons: list) -> dict:
     """Fold replication lag into a readiness verdict.
@@ -124,7 +103,10 @@ class AdvisorService:
     Parameters
     ----------
     state_dir:
-        Root of the durable state; one sub-directory per vehicle.
+        Root of the durable state; one sub-directory per vehicle.  Every
+        session directory already there is opened (and recovered) now;
+        one that does not name its own vehicle raises
+        :class:`~repro.service.wal.WalCorruptionError`.
     config:
         Shared :class:`SessionConfig` for every session.
     policy:
@@ -136,8 +118,6 @@ class AdvisorService:
         shed and counted.
     fsync:
         Forwarded to every session's WAL/snapshot writes.
-    recover:
-        Restore per-vehicle durable state found under ``state_dir``.
     fs:
         Optional fault-injection shim shared by every session's WAL and
         snapshot store (:class:`repro.engine.faults.FsFaultInjector`);
@@ -160,7 +140,6 @@ class AdvisorService:
         report: ValidationReport | None = None,
         max_queue: int = 4096,
         fsync: bool = False,
-        recover: bool = True,
         source: str = "events",
         fs=None,
         replication=None,
@@ -172,7 +151,6 @@ class AdvisorService:
         self.fsync = bool(fsync)
         self.fs = fs
         self.replication = replication
-        self.recover = bool(recover)
         if max_queue < 1:
             max_queue = 1
         self.max_queue = int(max_queue)
@@ -190,8 +168,25 @@ class AdvisorService:
         self.batch_chunks = 0
         self.batch_events = 0
         self.batch_seconds = 0.0
+        # Snapshots read to identify each directory, handed to the
+        # session that recovers from them so none is read twice.
+        self._found: dict[str, tuple[int, dict]] = {}
+        for directory in list_session_dirs(self.state_dir):
+            found = identify_session(directory)
+            if found is not None:
+                vehicle_id, pair = found
+                self._found[vehicle_id] = pair.merged()
+                self.session(vehicle_id)
 
     # -- sessions ---------------------------------------------------------
+
+    # RegisteredAdvisorService (below) names this class, and
+    # ``_registered`` the open sessions, for the benchmark harness in
+    # perfbench/, which traces through both names and patches this
+    # module's ``os``; those names stay while that harness does.
+    @property
+    def _registered(self) -> dict[str, AdvisorSession]:
+        return self.sessions
 
     def session(self, vehicle_id: str) -> AdvisorSession:
         """The vehicle's session, creating (and recovering) it on first use."""
@@ -201,11 +196,11 @@ class AdvisorService:
             return existing
         session = self.config.build_session(
             vehicle_id,
-            self.state_dir / "vehicles" / _vehicle_dirname(vehicle_id),
+            self.state_dir / VEHICLES_DIR / _vehicle_dirname(vehicle_id),
             enforcer=self._enforcer,
             fsync=self.fsync,
-            recover=self.recover,
             fs=self.fs,
+            snapshot=self._found.pop(vehicle_id, None),
         )
         self.sessions[vehicle_id] = session
         return session
@@ -472,54 +467,4 @@ class AdvisorService:
         self._enforcer.close()
 
 
-class RegisteredAdvisorService(AdvisorService):
-    """An ``AdvisorService`` that can warm-recover its whole fleet.
-
-    The stock service recovers sessions lazily on first use, which is
-    fine when the full stream is redelivered after a restart — but a
-    respawned shard only gets its unacknowledged chunks back, and a
-    promoted standby gets nothing at all, so both must restore every
-    session the root ever held before answering health or digest
-    queries.  Vehicle directory names are hashed and cannot be inverted,
-    so the service keeps a registry (JSONL of vehicle ids at
-    :data:`REGISTRY_NAME`, appended and flushed *before* the session's
-    durable state is created — a crash can orphan a registry line, never
-    a session) and replays it at startup.  The registry file itself is
-    shipped by the replication layer, which is what lets ``promote``
-    rebuild each session under its correct RNG seed.
-    """
-
-    def __init__(self, state_dir, config, **kwargs) -> None:
-        super().__init__(state_dir, config, **kwargs)
-        self._registry_path = self.state_dir / REGISTRY_NAME
-        known: list[str] = []
-        if self._registry_path.exists():
-            for line in self._registry_path.read_text().splitlines():
-                try:
-                    vehicle_id = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail: the id re-registers on redelivery
-                if isinstance(vehicle_id, str) and vehicle_id not in known:
-                    known.append(vehicle_id)
-        self._registered: set[str] = set()
-        self._registry = open(self._registry_path, "a")
-        if self.recover:
-            for vehicle_id in known:
-                self._registered.add(vehicle_id)
-                self.session(vehicle_id)
-        else:
-            self._registered.update(known)
-
-    def session(self, vehicle_id):
-        vehicle_id = str(vehicle_id)
-        if vehicle_id not in self._registered:
-            self._registry.write(json.dumps(vehicle_id) + "\n")
-            self._registry.flush()
-            if self.fsync:
-                os.fsync(self._registry.fileno())
-            self._registered.add(vehicle_id)
-        return super().session(vehicle_id)
-
-    def close(self) -> None:
-        super().close()
-        self._registry.close()
+RegisteredAdvisorService = AdvisorService

@@ -320,6 +320,7 @@ class AugmentedAdvisorSession(AdvisorSession):
     """Advisor session that consumes predictions (module docstring)."""
 
     config: AugmentedSessionConfig
+    _loads_augmented = True
 
     def _init_fresh_state(self) -> None:
         config = self.config

@@ -6,10 +6,10 @@ session, trust weight, and RNG stream bit-for-bit irrecoverably.  This
 module adds the missing layer:
 
 * **Shipping** — :func:`sync_once` streams every session's WAL frames
-  (via :meth:`WriteAheadLog.follow`) plus snapshot/delta sidecars and
-  the ``vehicles.idx`` registry to a :class:`LocalReplicaTarget` or, over
-  the wire, a :class:`RemoteReplicaTarget` talking JSONL to a
-  :class:`ReplicaServer`.  A watermark file on the standby records
+  (via :meth:`WriteAheadLog.follow`) plus snapshot/delta sidecars to a
+  :class:`LocalReplicaTarget` or, over the wire, a
+  :class:`RemoteReplicaTarget` talking JSONL to a :class:`ReplicaServer`.
+  A watermark file on the standby records
   ``(session, applied_seq)`` so catch-up after a standby restart resumes
   from the watermark instead of re-shipping history, and so replication
   lag is observable (:class:`ReplicationMonitor`, surfaced in
@@ -19,7 +19,10 @@ module adds the missing layer:
   ``shard.lock`` owner-token machinery (a *live* owner refuses the
   promotion: split-brain), then brings the standby up through the
   ordinary compact-then-replay recovery path so its ``state_digest()``
-  is bit-identical to a clean continuation of the primary.
+  is bit-identical to a clean continuation of the primary.  Each
+  session directory names its vehicle in the base snapshot it
+  published at seq 0, which is shipped before any of its frames, so a
+  standby identifies its sessions from what it holds.
 
 * **Point-in-time recovery** — :func:`backup` copies a state dir into a
   cold archive under a CRC-framed manifest of content hashes;
@@ -53,17 +56,21 @@ from pathlib import Path
 
 from ..engine.faults import owner_alive, pid_alive
 from ..errors import ReproError
-from .advisor import REGISTRY_NAME, RegisteredAdvisorService, _vehicle_dirname
+from .advisor import AdvisorService
 from .frontend import parse_listen
 from .shard import SHARD_LOCK_NAME, ShardLockError, acquire_shard_lock, release_shard_lock
 from .wal import (
     DELTA_NAME,
     SNAPSHOT_NAME,
+    VEHICLES_DIR,
     WAL_NAME,
     SnapshotStore,
     WalCorruptionError,
     WriteAheadLog,
     _unframe,
+    identify_session,
+    list_session_dirs,
+    read_snapshot_pair,
 )
 
 __all__ = [
@@ -79,7 +86,6 @@ __all__ = [
     "fleet_doctor",
     "promote",
     "read_manifest",
-    "registry_files",
     "replicate",
     "restore",
     "service_roots",
@@ -90,7 +96,7 @@ __all__ = [
 
 #: Watermark sidecar at the standby root: one CRC-framed JSON line
 #: mapping session keys to ``{"applied": seq, "snapshot": seq | null,
-#: "delta": seq}`` (registry keys map to ``{"bytes": n}``).
+#: "delta": seq}``.
 WATERMARKS_NAME = "replica.watermarks.json"
 
 #: CRC-framed backup manifest, written *last* so a torn backup is a
@@ -107,7 +113,7 @@ _FRAMES_PER_OP = 512
 
 class ReplicationError(ReproError, RuntimeError):
     """Replication/backup invariant violated (gap, divergence, corrupt
-    archive, unidentifiable session) — never silently continued past."""
+    archive) — never silently continued past."""
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +133,11 @@ def session_dirs(state_dir: str | Path) -> list[tuple[str, Path]]:
     for shard in sorted(state_dir.glob("shard-*")):
         if shard.is_dir():
             roots.append((shard, shard.name + "/"))
-    found: list[tuple[str, Path]] = []
-    for root, prefix in roots:
-        vehicles = root / "vehicles"
-        if not vehicles.is_dir():
-            continue
-        for vdir in sorted(vehicles.iterdir()):
-            if not vdir.is_dir():
-                continue
-            if any(
-                (vdir / name).exists()
-                for name in (WAL_NAME, SNAPSHOT_NAME, DELTA_NAME)
-            ):
-                found.append((prefix + "vehicles/" + vdir.name, vdir))
-    return found
+    return [
+        (f"{prefix}{VEHICLES_DIR}/{vdir.name}", vdir)
+        for root, prefix in roots
+        for vdir in list_session_dirs(root)
+    ]
 
 
 def service_roots(state_dir: str | Path) -> list[Path]:
@@ -149,19 +146,6 @@ def service_roots(state_dir: str | Path) -> list[Path]:
     state_dir = Path(state_dir)
     shards = sorted(path for path in state_dir.glob("shard-*") if path.is_dir())
     return shards or [state_dir]
-
-
-def registry_files(state_dir: str | Path) -> list[str]:
-    """Relpaths of the ``vehicles.idx`` registries present under
-    ``state_dir`` (one per service root)."""
-    state_dir = Path(state_dir)
-    rels = []
-    for root in service_roots(state_dir):
-        if (root / REGISTRY_NAME).exists():
-            rels.append(
-                REGISTRY_NAME if root == state_dir else root.name + "/" + REGISTRY_NAME
-            )
-    return rels
 
 
 def _publish_text(path: Path, text: str, *, fs=None, op: str = "replica-publish") -> None:
@@ -212,11 +196,6 @@ def durable_summary(session_dir: str | Path) -> dict:
         "snapshot_seq": seq,
         "digest": hashlib.sha256(body.encode()).hexdigest(),
     }
-
-
-def durable_tip(session_dir: str | Path) -> int:
-    """Highest durably-applied seq in one session directory."""
-    return durable_summary(session_dir)["tip"]
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +489,7 @@ def sync_once(primary_dir: str | Path, target, *, fs=None) -> dict:
     """
     primary = Path(primary_dir)
     marks = target.watermarks()
-    stats = {"vehicles": 0, "frames": 0, "snapshots": 0, "deltas": 0, "registries": 0}
-
-    for rel in registry_files(primary):
-        data = (primary / rel).read_text()
-        mark = marks.get(rel) or {}
-        if mark.get("bytes") != len(data):
-            target.put_text(rel, data)
-            target.set_mark(rel, {"bytes": len(data)})
-            stats["registries"] += 1
+    stats = {"vehicles": 0, "frames": 0, "snapshots": 0, "deltas": 0}
 
     for key, vdir in session_dirs(primary):
         stats["vehicles"] += 1
@@ -532,32 +503,10 @@ def sync_once(primary_dir: str | Path, target, *, fs=None) -> dict:
         wal = WriteAheadLog(vdir / WAL_NAME, fs=fs)
         frames = list(wal.follow(applied))
 
-        snap_path = vdir / SNAPSHOT_NAME
-        snap_text = snap_path.read_text() if snap_path.exists() else None
-        snap_seq = 0
-        if snap_text is not None:
-            payload = _unframe(snap_text.strip())
-            if payload is None or "seq" not in payload:
-                raise WalCorruptionError(
-                    f"{snap_path}: snapshot failed its CRC check"
-                )
-            snap_seq = int(payload["seq"])
-        merged_seq = snap_seq
-
-        delta_path = vdir / DELTA_NAME
-        delta_text = delta_path.read_text() if delta_path.exists() else None
-        delta_seq = 0
-        if delta_text is not None:
-            payload = _unframe(delta_text.strip())
-            if payload is None or "base_seq" not in payload or "seq" not in payload:
-                raise WalCorruptionError(
-                    f"{delta_path}: snapshot delta failed its CRC check"
-                )
-            if int(payload["base_seq"]) == snap_seq:
-                delta_seq = int(payload["seq"])
-                merged_seq = max(merged_seq, delta_seq)
-            else:
-                delta_text = None  # stale — extends a base that moved on
+        pair = read_snapshot_pair(vdir / SNAPSHOT_NAME)
+        merged_seq = pair.merged_seq
+        # a stale delta extends a base that moved on: never shipped
+        delta_seq = merged_seq if pair.delta_live else 0
 
         if frames and frames[0][0] > applied + 1 and merged_seq < frames[0][0] - 1:
             raise ReplicationError(
@@ -566,13 +515,15 @@ def sync_once(primary_dir: str | Path, target, *, fs=None) -> dict:
                 f"history needed for catch-up is gone"
             )
 
-        if snap_text is not None and (snap_mark is None or snap_seq > snap_mark):
-            target.put_text(key + "/" + SNAPSHOT_NAME, snap_text)
+        if pair.snapshot_text is not None and (
+            snap_mark is None or pair.seq > snap_mark
+        ):
+            target.put_text(key + "/" + SNAPSHOT_NAME, pair.snapshot_text)
             stats["snapshots"] += 1
-            snap_mark = snap_seq
-        if delta_text is not None:
+            snap_mark = pair.seq
+        if pair.delta_live:
             if delta_seq > delta_mark:
-                target.put_text(key + "/" + DELTA_NAME, delta_text)
+                target.put_text(key + "/" + DELTA_NAME, pair.delta_text)
                 stats["deltas"] += 1
         elif delta_mark:
             target.remove(key + "/" + DELTA_NAME)
@@ -588,7 +539,7 @@ def sync_once(primary_dir: str | Path, target, *, fs=None) -> dict:
             {
                 "applied": tip,
                 "snapshot": snap_mark,
-                "delta": delta_seq if delta_text is not None else 0,
+                "delta": delta_seq,
             },
         )
 
@@ -619,7 +570,6 @@ def replicate(
         "frames": 0,
         "snapshots": 0,
         "deltas": 0,
-        "registries": 0,
         "channel_errors": 0,
     }
     while True:
@@ -636,7 +586,7 @@ def replicate(
                 ) from exc
         else:
             totals["passes"] += 1
-            for field in ("frames", "snapshots", "deltas", "registries"):
+            for field in ("frames", "snapshots", "deltas"):
                 totals[field] += stats[field]
             if passes is not None and totals["passes"] >= passes:
                 break
@@ -650,17 +600,6 @@ def replicate(
 
 # ---------------------------------------------------------------------------
 # Promotion
-
-
-def _identify_vehicle(session_dir: Path) -> str | None:
-    """The vehicle id a session directory belongs to, from its snapshot
-    (``state["vehicle"]``) — the fallback when the registry is silent,
-    since the hashed directory name is not invertible."""
-    loaded = SnapshotStore(session_dir / SNAPSHOT_NAME).load()
-    if loaded is None:
-        return None
-    vehicle = loaded[1].get("vehicle")
-    return vehicle if isinstance(vehicle, str) else None
 
 
 def promote(
@@ -680,13 +619,17 @@ def promote(
     failover.  Dead owners are stale locks and promotion proceeds.
 
     The promotion itself is the ordinary recovery path: acquire each
-    service root's lock, rebuild every session from its registry entry
-    (falling back to the snapshot's own vehicle id), and close — the
+    service root's lock, open its :class:`AdvisorService` — which
+    rebuilds every session its directories name — and close, the
     compact-then-replay step.  Because recovery is bit-identical, the
     returned per-vehicle ``state_digest()`` values equal what a clean
-    continuation of the primary would have had.  A session directory
-    that *cannot* be identified raises rather than silently dropping a
-    vehicle's history.
+    continuation of the primary would have had — under ``config``
+    equal to the primary's.  A session directory that does not name its
+    own vehicle raises :class:`~repro.service.wal.WalCorruptionError`
+    rather than silently dropping a vehicle's history; a plain
+    ``config`` over learning-augmented state raises
+    :class:`~repro.errors.InvalidParameterError` before that session is
+    touched.
     """
     state_dir = Path(state_dir)
     if fence is not None:
@@ -710,31 +653,8 @@ def promote(
         roots.append(str(root))
         lock = acquire_shard_lock(root)
         try:
-            service = RegisteredAdvisorService(
-                root, config, policy=policy, fsync=fsync, fs=fs, recover=True
-            )
+            service = AdvisorService(root, config, policy=policy, fsync=fsync, fs=fs)
             try:
-                known_dirs = {
-                    _vehicle_dirname(vid) for vid in service.sessions
-                }
-                for _key, vdir in session_dirs(root):
-                    if vdir.name in known_dirs:
-                        continue
-                    vehicle = _identify_vehicle(vdir)
-                    if vehicle is None:
-                        raise ReplicationError(
-                            f"{vdir}: session directory has no registry entry "
-                            f"and no snapshot naming its vehicle — its RNG "
-                            f"stream cannot be rebuilt"
-                        )
-                    if _vehicle_dirname(vehicle) != vdir.name:
-                        raise ReplicationError(
-                            f"{vdir}: snapshot claims vehicle {vehicle!r} but "
-                            f"that vehicle maps to a different directory — "
-                            f"misplaced session state"
-                        )
-                    service.session(vehicle)
-                    known_dirs.add(vdir.name)
                 snapshot = service.health_snapshot()
                 for vid, info in snapshot["vehicles"].items():
                     digests[vid] = info["digest"]
@@ -782,7 +702,7 @@ def backup(state_dir: str | Path, archive_dir: str | Path, *, fs=None) -> dict:
         )
     archive.mkdir(parents=True, exist_ok=True)
 
-    rels = list(registry_files(state_dir))
+    rels = []
     if (state_dir / WATERMARKS_NAME).exists():
         rels.append(WATERMARKS_NAME)
     for key, vdir in session_dirs(state_dir):
@@ -807,12 +727,15 @@ def backup(state_dir: str | Path, archive_dir: str | Path, *, fs=None) -> dict:
 
     vehicles = {}
     for key, vdir in session_dirs(archive):
+        found = identify_session(vdir)
+        if found is None:
+            continue  # holds no state
         summary = durable_summary(vdir)
-        entry = {"tip": summary["tip"], "digest": summary["digest"]}
-        vehicle = _identify_vehicle(vdir)
-        if vehicle is not None:
-            entry["vehicle"] = vehicle
-        vehicles[key] = entry
+        vehicles[key] = {
+            "tip": summary["tip"],
+            "digest": summary["digest"],
+            "vehicle": found[0],
+        }
 
     manifest = {"version": 1, "files": files, "vehicles": vehicles}
     body = json.dumps(manifest, sort_keys=True, allow_nan=False)
@@ -918,30 +841,11 @@ def _point_in_time_cut(key: str, vdir: Path, upto_seq: int) -> tuple[bool, list,
     and ``upto_seq`` (a delta compaction resets the log, so the frames
     between its base and itself survive nowhere).
     """
-    snap_path = vdir / SNAPSHOT_NAME
-    base = 0
-    if snap_path.exists():
-        payload = _unframe(snap_path.read_text().strip())
-        if payload is None or "seq" not in payload:
-            raise ReplicationError(
-                f"corrupt backup: {key} snapshot failed its CRC check"
-            )
-        base = int(payload["seq"])
-    tip = base
-    drop_delta = False
-    delta_path = vdir / DELTA_NAME
-    if delta_path.exists():
-        payload = _unframe(delta_path.read_text().strip())
-        if payload is None or "base_seq" not in payload or "seq" not in payload:
-            raise ReplicationError(
-                f"corrupt backup: {key} delta failed its CRC check"
-            )
-        if int(payload["base_seq"]) == base:
-            tip = int(payload["seq"])
-            if tip > upto_seq:
-                drop_delta = True
-            else:
-                base = tip
+    pair = read_snapshot_pair(vdir / SNAPSHOT_NAME)
+    base = tip = pair.merged_seq
+    drop_delta = pair.delta_live and tip > upto_seq
+    if drop_delta:
+        base = pair.seq
     kept, dropped = [], 0
     reached = base
     for seq, line, _record in WriteAheadLog(vdir / WAL_NAME).follow(0):
@@ -977,11 +881,14 @@ def fleet_doctor(
 ) -> dict:
     """Cross-check WAL/snapshot/replica/archive consistency end to end.
 
-    ``problems`` are states recovery would get *wrong* or data that is
-    already lost (corrupt frames, seq gaps, a replica ahead of its
+    ``problems`` are states recovery would get *wrong* or refuse, or
+    data that is already lost (corrupt frames, a session directory that
+    does not name its own vehicle, seq gaps, a replica ahead of its
     primary, divergent digests at the same compaction point, a corrupt
     backup); ``warnings`` are benign-but-notable (torn tails, stale
-    deltas, unregistered sessions).  ``ok`` is ``problems == []``.
+    deltas).  A directory holding no state (its base snapshot never
+    landed) is not a session and is not listed.  ``ok`` is
+    ``problems == []``.
 
     With ``replica_dir``, per-session lag (primary durable tip minus
     replica durable tip) is reported, watermarks are checked against
@@ -997,34 +904,19 @@ def fleet_doctor(
     warnings: list[str] = []
     vehicles: dict[str, dict] = {}
 
-    registered: set[str] = set()
-    for rel in registry_files(state_dir):
-        lines = (state_dir / rel).read_text().splitlines()
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                vehicle = json.loads(line)
-            except ValueError:
-                if index == len(lines) - 1:
-                    warnings.append(f"{rel}: torn trailing registry line (in-flight append)")
-                else:
-                    problems.append(f"{rel}: registry-corrupt: bad line {index + 1}")
-                continue
-            if isinstance(vehicle, str):
-                registered.add(vehicle)
-    registered_dirs = {_vehicle_dirname(vid) for vid in registered}
-
     for key, vdir in session_dirs(state_dir):
         info: dict = {"tip": 0, "snapshot_seq": 0, "digest": None}
         vehicles[key] = info
-        snap = SnapshotStore(vdir / SNAPSHOT_NAME)
         try:
-            loaded = snap.load()
+            found = identify_session(vdir)
+            if found is None:
+                del vehicles[key]  # holds no state: not a session
+                continue
+            pair = found[1]
+            merged_seq = pair.merged()[0]
         except WalCorruptionError as exc:
             problems.append(f"{key}: snapshot-corrupt: {exc}")
             continue
-        merged_seq, state = loaded if loaded is not None else (0, None)
 
         wal = WriteAheadLog(vdir / WAL_NAME)
         try:
@@ -1048,25 +940,11 @@ def fleet_doctor(
                 break
             expect = seq
 
-        full_seq = 0
-        if snap.path.exists():
-            payload = _unframe(snap.path.read_text().strip())
-            if payload is not None and "seq" in payload:
-                full_seq = int(payload["seq"])
-        if snap.delta_path.exists():
-            payload = _unframe(snap.delta_path.read_text().strip())
-            if payload is not None and int(payload.get("base_seq", -1)) != full_seq:
-                warnings.append(
-                    f"{key}: stale delta (base_seq {payload.get('base_seq')} != "
-                    f"snapshot seq {full_seq}) — ignored on load; "
-                    f"`cache doctor --state-dir` reclaims it"
-                )
-
-        vehicle = state.get("vehicle") if isinstance(state, dict) else None
-        if vdir.name not in registered_dirs and not isinstance(vehicle, str):
+        if pair.delta is not None and not pair.delta_live:
             warnings.append(
-                f"{key}: unidentified session (no registry entry, no snapshot) — "
-                f"promote would refuse this directory"
+                f"{key}: stale delta (base_seq {pair.delta['base_seq']} != "
+                f"snapshot seq {pair.seq}) — ignored on load; "
+                f"`cache doctor --state-dir` reclaims it"
             )
 
         info.update(durable_summary(vdir))
@@ -1083,8 +961,7 @@ def fleet_doctor(
         total_lag = 0
         max_lag_seen = 0
         lagging = 0
-        for key, vdir in session_dirs(state_dir):
-            info = vehicles[key]
+        for key, info in vehicles.items():
             if info["digest"] is None:
                 continue  # primary side already flagged corrupt
             rdir = replica_dir / key
@@ -1273,25 +1150,11 @@ def sweep_state_dir(state_dir: str | Path) -> list[str]:
     for delta_path in sorted(state_dir.rglob(DELTA_NAME)):
         if not delta_path.is_file():
             continue
-        base = delta_path.with_name(SNAPSHOT_NAME)
-        drop = False
-        if not base.exists():
-            drop = True
-        else:
-            payload = _unframe(delta_path.read_text().strip())
-            if payload is None or "base_seq" not in payload:
-                drop = True
-            else:
-                base_payload = _unframe(base.read_text().strip())
-                if (
-                    base_payload is not None
-                    and "seq" in base_payload
-                    and int(payload["base_seq"]) != int(base_payload["seq"])
-                ):
-                    drop = True
-                # A corrupt *base* is the doctor's problem, not sweepable
-                # debris — removing the delta there would destroy evidence.
-        if drop:
+        pair = read_snapshot_pair(delta_path.with_name(SNAPSHOT_NAME), verify=False)
+        # A corrupt *base* is the doctor's problem, not sweepable debris
+        # — removing the delta there would destroy evidence.
+        corrupt_base = pair.snapshot_text is not None and pair.snapshot is None
+        if not (pair.delta_live or corrupt_base):
             try:
                 delta_path.unlink()
             except FileNotFoundError:

@@ -220,15 +220,19 @@ class AdvisorSession:
     fsync:
         Fsync WAL appends and snapshots (power-loss durability; a plain
         process kill is already covered by flush).
-    recover:
-        Restore durable state found in ``state_dir`` (default).  False
-        starts fresh even over existing state (the soak harness's
-        "uninterrupted" reference runs do this into clean directories).
     fs:
         Optional fault-injection shim forwarded to the WAL and snapshot
         store (:class:`repro.engine.faults.FsFaultInjector`) — how the
         ``DURABILITY_SUSPENDED`` path is tested deterministically.
+    snapshot:
+        The directory's snapshot as ``(seq, state)`` when the caller has
+        already read it (the service reads it to identify the
+        directory); None reads it from ``state_dir``.
     """
+
+    #: Whether this class restores a learning-augmented state section;
+    #: a session that cannot refuses such state instead of erasing it.
+    _loads_augmented = False
 
     def __init__(
         self,
@@ -240,8 +244,8 @@ class AdvisorSession:
         report=None,
         enforcer: PolicyEnforcer | None = None,
         fsync: bool = False,
-        recover: bool = True,
         fs=None,
+        snapshot: tuple[int, dict] | None = None,
     ) -> None:
         self.vehicle_id = str(vehicle_id)
         self.config = config
@@ -266,8 +270,8 @@ class AdvisorSession:
                 directory / SNAPSHOT_NAME, fsync=fsync, fs=fs
             )
         self._init_fresh_state()
-        if recover and self._snapshots is not None:
-            self._recover()
+        if self._snapshots is not None:
+            self._recover(snapshot)
 
     def _init_fresh_state(self) -> None:
         config = self.config
@@ -1082,6 +1086,14 @@ class AdvisorSession:
             raise InvalidParameterError(
                 f"unsupported session state version {state.get('version')!r}"
             )
+        if "augmented" in state and not self._loads_augmented:
+            # Loading it would silently drop the predictor and trust
+            # state, and the next compaction would erase it on disk.
+            raise InvalidParameterError(
+                f"vehicle {self.vehicle_id!r}: the durable state is a "
+                f"learning-augmented session's; reopen it with the same "
+                f"augmented configuration (--predictor/--trust/--cvar-alpha)"
+            )
         self.applied = int(state["applied"])
         self.total_cost = float(state["total_cost"])
         self.health = HealthState(state["health"])
@@ -1109,7 +1121,7 @@ class AdvisorSession:
         self.rng.bit_generator.state = state["rng"]
         self.drift = DriftDetector.from_state(state["drift"])
 
-    def _recover(self) -> None:
+    def _recover(self, snapshot: tuple[int, dict] | None = None) -> None:
         """Snapshot + WAL-tail replay (see the module docstring).
 
         After replay the state is immediately re-compacted: the durable
@@ -1121,7 +1133,8 @@ class AdvisorSession:
         raises :class:`~repro.service.wal.WalCorruptionError` (as does a
         delta snapshot whose base is missing, in ``load``).
         """
-        snapshot = self._snapshots.load()
+        if snapshot is None:
+            snapshot = self._snapshots.load()
         base_seq = 0
         if snapshot is not None:
             base_seq, state = snapshot

@@ -72,7 +72,7 @@ from pathlib import Path
 
 from ..engine.ledger import RunLedger, active_ledger, use_ledger
 from ..errors import InvalidParameterError, ReproError
-from .advisor import AdvisorService, RegisteredAdvisorService, gate_on_replication
+from .advisor import AdvisorService, gate_on_replication
 from .batch import _identifiable_vehicle
 
 __all__ = [
@@ -339,8 +339,8 @@ def _shard_worker(
 ) -> None:
     """Shard-worker entry point: a spawned process or an in-process thread.
 
-    Owns one shard: lock the state dir, warm-recover every session,
-    serve commands until ``("stop",)`` or SIGTERM, then flush WAL +
+    Owns one shard: lock the state dir, warm-recover every session in
+    it (each named by its own base snapshot), serve commands until ``("stop",)`` or SIGTERM, then flush WAL +
     final snapshots and release the lock.  Any exception is reported to
     the parent as an ``("error", ...)`` message rather than a silent
     nonzero exit.  Signal handlers can only be installed by a main
@@ -364,7 +364,7 @@ def _shard_worker(
     service = None
     error = None
     try:
-        service = RegisteredAdvisorService(
+        service = AdvisorService(
             Path(state_dir),
             config,
             policy=policy,
@@ -413,11 +413,10 @@ class ShardedAdvisorService:
     workers:
         ``True`` (default) runs each shard's worker in a spawned
         process.  ``False`` runs the same worker loop on a thread of
-        this process: the same command queues, pipes, acks, per-shard
-        ``vehicles.idx`` registry and warm recovery, but no
-        parallelism, no SIGTERM handoff and no hang kill (a thread
-        cannot be SIGKILLed).  The pure-partition property runs this
-        transport.
+        this process: the same command queues, pipes, acks and warm
+        recovery of every session in the shard, but no parallelism, no
+        SIGTERM handoff and no hang kill (a thread cannot be
+        SIGKILLed).  The pure-partition property runs this transport.
     queue_depth:
         Bound on each shard's pending-command queue.  ``submit_lines``
         blocks on a full queue (lossless backpressure);

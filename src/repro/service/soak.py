@@ -35,7 +35,7 @@ worker-hang          shards  SIGSTOP the worker owning a chunk before 2 chunks.
                              Detected hangs == frozen workers.
 poison               shards  one line that SIGKILLs any worker touching it.  The
                              quarantine sidecar holds exactly that line.
-primary-kill         replica SIGKILL a registered primary mid-stream while a
+primary-kill         replica SIGKILL a locked primary mid-stream while a
                              shipping loop feeds a standby; promote it (fenced),
                              finish by redelivery, then backup -> restore ->
                              doctor -> promote.  The kill fires, frames ship
@@ -73,7 +73,7 @@ from ..engine.ledger import RunLedger, use_ledger
 from ..errors import InvalidParameterError
 from ..fleet import area_config
 from ..fleet.generator import FleetGenerator
-from .advisor import AdvisorService, RegisteredAdvisorService
+from .advisor import AdvisorService
 from .replica import (
     LocalReplicaTarget,
     backup,
@@ -194,7 +194,6 @@ def run_stream(
     ledger_path: str | Path | None = None,
     batch: int = 1,
     fs=None,
-    register: bool = False,
 ) -> SoakResult:
     """Serve ``events`` into ``state_dir`` (recovering any prior state).
 
@@ -207,16 +206,11 @@ def run_stream(
     :class:`repro.engine.faults.FsFaultInjector` threaded into the
     service's WAL/snapshot writers and the run ledger — the disk-fault
     chaos hook.
-    ``register=True`` serves through a
-    :class:`~repro.service.advisor.RegisteredAdvisorService` so the
-    state dir carries a vehicle registry — required for a state dir that
-    a standby may later have to promote without redelivery.
     """
     ledger = (
         RunLedger(ledger_path, append=True, fs=fs) if ledger_path is not None else None
     )
-    service_cls = RegisteredAdvisorService if register else AdvisorService
-    service = service_cls(Path(state_dir), config, policy=policy, fs=fs)
+    service = AdvisorService(Path(state_dir), config, policy=policy, fs=fs)
     if ledger is not None:
         with use_ledger(ledger):
             _serve(service, events, injector, batch)
@@ -274,8 +268,8 @@ def _child(
     (see :mod:`repro.engine.faults`).  A replica-tier ``primary`` holds
     its state dir's ``shard.lock`` like a real primary — the SIGKILL
     leaves it behind with a dead owner, which ``promote --fence`` must
-    recognise as stale — keeps a vehicle registry so a standby can
-    promote it, and paces the stream by :data:`PRIMARY_EVENT_DELAY`.
+    recognise as stale — and paces the stream by
+    :data:`PRIMARY_EVENT_DELAY`.
     """
     hook, lock = injector, None
     if primary:
@@ -293,7 +287,6 @@ def _child(
             injector=hook,
             ledger_path=ledger_path,
             batch=batch,
-            register=primary,
         )
     finally:
         if lock is not None:
@@ -516,7 +509,7 @@ def _replica_tier(cell: Cell, events, out_dir: Path, config) -> dict:
     # The operator runbook: promote behind the dead primary's lock,
     # finish by full redelivery, then round-trip the cold archive.
     promote(standby, config, fence=primary)
-    final = run_stream(events, standby, config, register=True)
+    final = run_stream(events, standby, config)
     archive, restored = out_dir / "archive", out_dir / "restored"
     backup(standby, archive)
     restore(archive, restored)

@@ -22,25 +22,49 @@ Recovery = load the snapshot (if any), then replay WAL records with
 compaction crash-safe: the snapshot is published *before* the WAL is
 reset, so dying between the two steps merely leaves already-compacted
 records in the log, and replay skips them.
+
+This module is the one place that knows a session directory's format.
+A service root holds ``vehicles/<dirname>`` per session
+(:func:`list_session_dirs`, :func:`_vehicle_dirname`); every session
+publishes a base snapshot at seq 0 naming its vehicle, so a directory
+identifies itself (:func:`identify_session`) although its hashed name
+cannot be inverted; and :func:`read_snapshot_pair` is the one reader of
+the snapshot/delta pair, with the one rule for a live delta.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import re
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ReproError
 
-__all__ = ["WriteAheadLog", "SnapshotStore", "WalCorruptionError"]
+__all__ = [
+    "SnapshotPair",
+    "SnapshotStore",
+    "WalCorruptionError",
+    "WriteAheadLog",
+    "identify_session",
+    "list_session_dirs",
+    "read_snapshot_pair",
+]
 
 #: Canonical per-session durable file names (the replication layer and
 #: state-dir doctor address sessions by these).
 WAL_NAME = "wal.jsonl"
 SNAPSHOT_NAME = "snapshot.json"
 DELTA_NAME = SNAPSHOT_NAME + ".delta"
+
+#: Sub-directory of a service root holding one directory per session.
+VEHICLES_DIR = "vehicles"
+
+_UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]")
 
 
 def _fsync_dir(path: str | Path) -> None:
@@ -72,8 +96,43 @@ def _read_text(path: str) -> str:
 
 
 class WalCorruptionError(ReproError, RuntimeError):
-    """A WAL or snapshot frame failed its integrity check *before* the
-    final record — real corruption, not a torn tail."""
+    """Durable session state failed an integrity check: a WAL frame
+    before the final record (real corruption, not a torn tail), a
+    snapshot frame, or a session directory that does not identify the
+    vehicle whose history it holds."""
+
+
+def _vehicle_dirname(vehicle_id: str) -> str:
+    """A filesystem-safe, collision-free directory name per vehicle.
+
+    The name always ends in a hash of the exact id, so distinct ids can
+    never share a directory — not even ids differing only in case on a
+    case-insensitive filesystem (macOS/Windows), and not an id that
+    happens to look like another id's hashed name.  A sanitized prefix
+    of the id is kept for operator readability.
+    """
+    digest = hashlib.sha256(vehicle_id.encode()).hexdigest()[:16]
+    prefix = _UNSAFE_CHARS.sub("_", vehicle_id)[:48].lstrip(".")
+    return f"{prefix}-{digest}" if prefix else f"veh-{digest}"
+
+
+def list_session_dirs(root: str | Path) -> list[Path]:
+    """Every session directory of one service root that holds a durable
+    file, in name order."""
+    vehicles = Path(root) / VEHICLES_DIR
+    try:
+        entries = sorted(os.scandir(vehicles), key=lambda entry: entry.name)
+    except FileNotFoundError:
+        return []
+    return [
+        Path(entry.path)
+        for entry in entries
+        if entry.is_dir()
+        and any(
+            os.path.exists(os.path.join(entry.path, name))
+            for name in (WAL_NAME, SNAPSHOT_NAME, DELTA_NAME)
+        )
+    ]
 
 
 def _event_body(payload: dict) -> str | None:
@@ -410,56 +469,161 @@ class SnapshotStore:
         )
         self._publish(self._path + ".delta", body)
 
-    def _load_delta(self) -> dict | None:
-        delta_path = self._path + ".delta"
-        if not os.path.exists(delta_path):
+    def load(self) -> tuple[int, dict] | None:
+        """The latest snapshot as ``(seq, state)``, or None if absent
+        (:meth:`SnapshotPair.merged` of :func:`read_snapshot_pair`)."""
+        return read_snapshot_pair(self._path).merged()
+
+
+def _read_optional(path: str) -> str | None:
+    try:
+        return _read_text(path)
+    except FileNotFoundError:
+        return None
+
+
+def _decode(text: str | None, fields: tuple[str, ...]) -> dict | None:
+    """A snapshot-family file's payload; None when absent or when its
+    frame or fields are bad."""
+    if text is None:
+        return None
+    payload = _unframe(text.strip())
+    if payload is None or any(field not in payload for field in fields):
+        return None
+    return payload
+
+
+@dataclass(frozen=True)
+class SnapshotPair:
+    """One session directory's snapshot and delta sidecar, as read.
+
+    ``path`` is the snapshot's; ``snapshot_text``/``delta_text`` are the
+    raw files (None when absent), shipped and archived byte-for-byte;
+    ``snapshot``/``delta`` are their decoded frames (None when absent —
+    or corrupt, for a pair read with ``verify=False``).
+    """
+
+    path: str
+    snapshot_text: str | None
+    delta_text: str | None
+    snapshot: dict | None
+    delta: dict | None
+
+    @property
+    def seq(self) -> int:
+        """The full snapshot's seq (0 without one)."""
+        return 0 if self.snapshot is None else int(self.snapshot["seq"])
+
+    @property
+    def delta_live(self) -> bool:
+        """The one rule for a delta: it extends exactly the full
+        snapshot whose seq is its ``base_seq``.  Any other delta is
+        stale (its base moved on; loads ignore it, sweeps reclaim it)
+        or orphaned."""
+        return (
+            self.snapshot is not None
+            and self.delta is not None
+            and int(self.delta["base_seq"]) == self.seq
+        )
+
+    @property
+    def merged_seq(self) -> int:
+        """The seq of the merged state: the live delta's, else the full
+        snapshot's."""
+        return int(self.delta["seq"]) if self.delta_live else self.seq
+
+    def merged(self) -> tuple[int, dict] | None:
+        """The pair's state as ``(seq, state)``, or None without a
+        snapshot.
+
+        A live delta is merged in (appended list items are
+        concatenated; the session's bounded deques re-trim them on
+        restore); a stale one is ignored.  A delta whose base is
+        *missing* — no full snapshot, or one older than the delta's base
+        — raises: a delta is only ever written after its base, so the
+        state it extends is lost.
+        """
+        if self.snapshot is None:
+            if self.delta_text is not None:
+                raise WalCorruptionError(
+                    f"{self.path}: a delta snapshot exists but its base does not"
+                )
             return None
-        payload = _unframe(_read_text(delta_path).strip())
-        if (
-            payload is None
-            or "seq" not in payload
-            or "base_seq" not in payload
-            or "set" not in payload
-            or "append" not in payload
-        ):
+        seq, state = self.seq, self.snapshot["state"]
+        if self.delta is not None and int(self.delta["base_seq"]) > seq:
+            raise WalCorruptionError(
+                f"{self.path}: the delta snapshot extends a base at seq "
+                f"{self.delta['base_seq']}, but the full snapshot is at seq {seq}"
+            )
+        if self.delta_live:
+            state = dict(state)
+            state.update(self.delta["set"])
+            for key, items in self.delta["append"].items():
+                state[key] = list(state.get(key, [])) + list(items)
+            seq = int(self.delta["seq"])
+        return seq, state
+
+
+def read_snapshot_pair(path: str | Path, *, verify: bool = True) -> SnapshotPair:
+    """Read the snapshot at ``path`` and its delta sidecar (snapshot
+    first, then delta).
+
+    The CRCs guard against at-rest corruption; because publication is
+    atomic, a bad frame is never a torn write, so ``verify`` (the
+    default) raises :class:`WalCorruptionError` on one.  Only the sweep,
+    which must tell a corrupt delta (debris) from a corrupt base
+    (evidence), reads with ``verify=False``.
+    """
+    path = os.fspath(path)
+    delta_path = path + ".delta"
+    snapshot_text = _read_optional(path)
+    delta_text = _read_optional(delta_path)
+    pair = SnapshotPair(
+        path,
+        snapshot_text,
+        delta_text,
+        _decode(snapshot_text, ("seq", "state")),
+        _decode(delta_text, ("seq", "base_seq", "set", "append")),
+    )
+    if verify:
+        if snapshot_text is not None and pair.snapshot is None:
+            raise WalCorruptionError(f"{path}: snapshot failed its CRC check")
+        if delta_text is not None and pair.delta is None:
             raise WalCorruptionError(
                 f"{delta_path}: snapshot delta failed its CRC check"
             )
-        return payload
+    return pair
 
-    def load(self) -> tuple[int, dict] | None:
-        """The latest snapshot as ``(seq, state)``, or None if absent.
 
-        A valid delta whose ``base_seq`` matches the full snapshot is
-        merged in (appended list items are concatenated; the session's
-        bounded deques re-trim them on restore); one that extends an
-        older base is stale and ignored.  A delta whose base is
-        *missing* — no full snapshot, or one older than the delta's
-        base — raises: a delta is only ever written after its base, so
-        the state it extends is lost.  The CRCs guard against at-rest
-        corruption; because publication is atomic, a bad frame here is
-        never a torn write and always raises.
-        """
-        if not os.path.exists(self._path):
-            if self._load_delta() is not None:
-                raise WalCorruptionError(
-                    f"{self._path}: a delta snapshot exists but its base does not"
-                )
+def identify_session(directory: str | Path) -> tuple[str, SnapshotPair] | None:
+    """The vehicle a session directory belongs to, with its snapshot pair.
+
+    The id comes from the base snapshot (``state["vehicle"]``) that every
+    session publishes at seq 0, before its first WAL frame.  None means
+    the directory holds no state: no snapshot, no delta and no intact
+    WAL frame (a session whose base publish never landed).  Anything
+    else that does not name its own vehicle raises
+    :class:`WalCorruptionError` rather than dropping a vehicle's
+    history or rebuilding it under another vehicle's RNG stream: frames
+    or a delta without a base snapshot, or a snapshot whose vehicle
+    maps to a different directory.
+    """
+    directory = os.fspath(directory)
+    pair = read_snapshot_pair(os.path.join(directory, SNAPSHOT_NAME))
+    if pair.snapshot is None:
+        wal = WriteAheadLog(os.path.join(directory, WAL_NAME))
+        if pair.delta_text is None and not wal.last_seq():
             return None
-        payload = _unframe(_read_text(self._path).strip())
-        if payload is None or "seq" not in payload or "state" not in payload:
-            raise WalCorruptionError(f"{self._path}: snapshot failed its CRC check")
-        seq, state = int(payload["seq"]), payload["state"]
-        delta = self._load_delta()
-        if delta is not None and int(delta["base_seq"]) > seq:
-            raise WalCorruptionError(
-                f"{self._path}: the delta snapshot extends a base at seq "
-                f"{delta['base_seq']}, but the full snapshot is at seq {seq}"
-            )
-        if delta is not None and int(delta["base_seq"]) == seq:
-            state = dict(state)
-            state.update(delta["set"])
-            for key, items in delta["append"].items():
-                state[key] = list(state.get(key, [])) + list(items)
-            seq = int(delta["seq"])
-        return seq, state
+        raise WalCorruptionError(
+            f"{directory}: durable state without a base snapshot naming its "
+            f"vehicle — its RNG stream cannot be rebuilt"
+        )
+    vehicle = pair.snapshot["state"].get("vehicle")
+    if not isinstance(vehicle, str) or (
+        _vehicle_dirname(vehicle) != os.path.basename(directory)
+    ):
+        raise WalCorruptionError(
+            f"{directory}: snapshot claims vehicle {vehicle!r}, which maps to "
+            f"a different directory — misplaced session state"
+        )
+    return vehicle, pair

@@ -127,6 +127,20 @@ class TestRecovery:
             assert recovered.applied == 9
             assert recovered.trust_learner.to_state() == TrustLearner().to_state()
 
+    def test_plain_session_refuses_augmented_state_untouched(self):
+        # The converse would drop the predictor and trust state, and the
+        # next compaction would erase them on disk: refuse, write nothing.
+        with tempfile.TemporaryDirectory() as tmp:
+            state_dir = Path(tmp) / "v1"
+            first = AugmentedAdvisorSession("v1", AUG_CONFIG, state_dir)
+            for event_id, timestamp, stop_length in EVENTS[:7]:
+                first.submit(event_id, timestamp, stop_length)
+            del first  # a crash: the WAL keeps a tail past the snapshot
+            before = {p.name: p.read_bytes() for p in state_dir.iterdir()}
+            with pytest.raises(InvalidParameterError, match="augmented"):
+                AdvisorSession("v1", SessionConfig(**BASE), state_dir)
+            assert {p.name: p.read_bytes() for p in state_dir.iterdir()} == before
+
 
 class TestSafeParity:
     def test_safe_is_byte_identical_to_the_plain_session(self):

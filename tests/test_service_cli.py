@@ -62,6 +62,35 @@ class TestServe:
         assert cost == [line for line in second.splitlines() if "fleet cost" in line]
         assert "24 duplicate(s)" in second
 
+    def test_plain_and_sharded_restarts_report_the_same_fleet(self, tmp_path, capsys):
+        # A restart opens every session its state dir holds, so a second
+        # stream touching one vehicle still reports the whole fleet —
+        # with or without --shards.
+        events = build_fleet_events(vehicles=3, stops_per_vehicle=10, seed=5)
+        tail = [e for e in events if e["vehicle"] == events[0]["vehicle"]][-3:]
+        streams = []
+        for name, part in (("first", [e for e in events if e not in tail]),
+                           ("second", tail)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(json.dumps(event) + "\n" for event in part))
+            streams.append(str(path))
+        dumps = []
+        for mode, extra in (("plain", []), ("sharded", ["--shards", "1"])):
+            state, health = tmp_path / mode, tmp_path / f"{mode}.json"
+            for stream in streams:
+                assert main([
+                    "serve", stream, "--state-dir", str(state),
+                    "--health", str(health), *extra,
+                ]) == 0
+            dumps.append(json.loads(health.read_text()))
+        capsys.readouterr()
+        plain, sharded = dumps
+        assert len(plain["vehicles"]) == len(sharded["vehicles"]) == 3
+        assert plain["fleet_cost"] == sharded["fleet_cost"]
+        assert {v: i["digest"] for v, i in plain["vehicles"].items()} == {
+            v: i["digest"] for v, i in sharded["vehicles"].items()
+        }
+
     def test_serve_ledger_and_summary_round_trip(self, events_file, tmp_path, capsys):
         ledger_path = tmp_path / "ledger.jsonl"
         assert main([

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.faults import FsFault, FsFaultInjector
-from repro.service.advisor import AdvisorService, RegisteredAdvisorService
+from repro.service.advisor import AdvisorService
 from repro.service.replica import (
     LocalReplicaTarget,
     RemoteReplicaTarget,
@@ -62,12 +62,12 @@ CONFIG = SessionConfig(
 EVENTS = build_fleet_events(vehicles=3, stops_per_vehicle=12, seed=21)
 
 
-def _serve_registered(events, state_dir, *, config=CONFIG, close=True, chunk=None):
-    """Run a registered (promotable) primary; optionally crash-abandon it.
+def _serve_primary(events, state_dir, *, config=CONFIG, close=True, chunk=None):
+    """Run a primary; optionally crash-abandon it.
 
     ``chunk`` serves through ``process_batch`` in chunks of that size
     instead of one ``process`` call per record."""
-    service = RegisteredAdvisorService(Path(state_dir), config, policy="repair")
+    service = AdvisorService(Path(state_dir), config, policy="repair")
     if chunk is None:
         for record in events:
             service.process(record)
@@ -91,7 +91,7 @@ def _digests(snapshot) -> dict:
 @pytest.fixture()
 def reference(tmp_path):
     """Digests of a clean, never-failed run over the full stream."""
-    return _digests(_serve_registered(EVENTS, tmp_path / "ref"))
+    return _digests(_serve_primary(EVENTS, tmp_path / "ref"))
 
 
 # -- WAL follow -------------------------------------------------------------
@@ -140,12 +140,14 @@ class TestShipAndPromote:
     ):
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
-        _serve_registered(EVENTS, primary, close=False)
+        _serve_primary(EVENTS, primary, close=False)
         target = LocalReplicaTarget(standby)
         stats = sync_once(primary, target)
         assert stats["frames"] > 0  # abandoned primary leaves WAL tail
         promoted = promote(standby, CONFIG, fence=primary)
         assert promoted["digests"] == reference
+        # sessions are named by their base snapshots: no registry file
+        assert not list(tmp_path.rglob("vehicles.idx"))
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 16])
     def test_batched_primary_promotes_bit_identically(
@@ -156,7 +158,7 @@ class TestShipAndPromote:
         # sessions from the WAL tail alone.
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
-        _serve_registered(EVENTS, primary, close=False, chunk=chunk)
+        _serve_primary(EVENTS, primary, close=False, chunk=chunk)
         stats = sync_once(primary, LocalReplicaTarget(standby))
         assert stats["snapshots"] == len(session_dirs(primary))
         doctor = fleet_doctor(primary, replica_dir=standby)
@@ -166,7 +168,7 @@ class TestShipAndPromote:
 
     def test_a_delta_without_its_base_is_refused(self, tmp_path):
         primary = tmp_path / "primary"
-        _serve_registered(EVENTS, primary, close=False, chunk=4)
+        _serve_primary(EVENTS, primary, close=False, chunk=4)
         damaged = [
             vdir for _key, vdir in session_dirs(primary)
             if (vdir / "snapshot.json.delta").exists()
@@ -186,14 +188,13 @@ class TestShipAndPromote:
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
         half = len(EVENTS) // 2
-        _serve_registered(EVENTS[:half], primary, close=False)
+        _serve_primary(EVENTS[:half], primary, close=False)
         target = LocalReplicaTarget(standby)
         sync_once(primary, target)
         quiet = sync_once(primary, target)
-        assert (quiet["frames"], quiet["snapshots"], quiet["deltas"],
-                quiet["registries"]) == (0, 0, 0, 0)
+        assert (quiet["frames"], quiet["snapshots"], quiet["deltas"]) == (0, 0, 0)
         # primary recovers and serves the rest (full redelivery dedups)
-        _serve_registered(EVENTS, primary, close=False)
+        _serve_primary(EVENTS, primary, close=False)
         moved = sync_once(primary, target)
         assert moved["frames"] > 0 or moved["snapshots"] > 0
 
@@ -203,18 +204,18 @@ class TestShipAndPromote:
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
         cut = (2 * len(EVENTS)) // 3
-        _serve_registered(EVENTS[:cut], primary, close=False)
+        _serve_primary(EVENTS[:cut], primary, close=False)
         sync_once(primary, LocalReplicaTarget(standby))
         # primary dies here; the standby is promoted mid-history and the
         # producer replays the WHOLE stream (at-least-once delivery).
         promote(standby, CONFIG, fence=primary)
-        final = _digests(_serve_registered(EVENTS, standby))
+        final = _digests(_serve_primary(EVENTS, standby))
         assert final == reference
 
     def test_promote_is_fenced_by_a_live_primary_lock(self, tmp_path, reference):
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
-        _serve_registered(EVENTS, primary, close=False)
+        _serve_primary(EVENTS, primary, close=False)
         sync_once(primary, LocalReplicaTarget(standby))
         lock = acquire_shard_lock(primary)  # we are the live old primary
         try:
@@ -229,18 +230,79 @@ class TestShipAndPromote:
 
     def test_promote_refuses_an_unidentifiable_session_dir(self, tmp_path):
         primary = tmp_path / "primary"
-        # an UNregistered service: no vehicles.idx, no registry entry
         service = AdvisorService(primary, CONFIG, policy="repair")
         for record in EVENTS[:3]:
             service.process(record)
-        # crash before any snapshot names the vehicle
+        # WAL frames, but no snapshot names their vehicle
         vdir = next(iter((primary / "vehicles").iterdir()))
         for name in ("snapshot.json", "snapshot.json.delta"):
             with contextlib.suppress(FileNotFoundError):
                 (vdir / name).unlink()
         del service
-        with pytest.raises(ReplicationError, match="RNG stream"):
+        with pytest.raises(WalCorruptionError, match="RNG stream"):
             promote(primary, CONFIG)
+
+
+# -- sessions identified by their own base snapshots ------------------------
+
+
+class TestSessionIdentification:
+    """Opening a root opens every session directory it holds, each named
+    by the base snapshot it published at seq 0 — or refuses the root."""
+
+    def test_a_base_snapshot_that_never_landed_is_no_state(
+        self, tmp_path, reference
+    ):
+        # The seq-0 base publish fails (op 1), and again right after the
+        # first probe (ops 2-3): the probe leaves an empty wal.jsonl and
+        # no snapshot, and the buffered events were never durable.
+        primary = tmp_path / "primary"
+        fs = FsFaultInjector({1: FsFault(), 3: FsFault()}, tmp_path / "claims")
+        service = AdvisorService(primary, CONFIG, policy="repair", fs=fs)
+        vehicle = EVENTS[0]["vehicle"]
+        for record in [e for e in EVENTS if e["vehicle"] == vehicle][:2]:
+            service.process(record)
+        assert fs.raised == 2
+        assert service.sessions[vehicle].durability_suspended
+        ((_key, vdir),) = session_dirs(primary)
+        assert [path.name for path in vdir.iterdir()] == ["wal.jsonl"]
+        assert (vdir / "wal.jsonl").stat().st_size == 0
+        del service  # crash
+
+        assert AdvisorService(primary, CONFIG).sessions == {}
+        doctor = fleet_doctor(primary)
+        assert doctor["ok"], doctor["problems"]
+        assert (doctor["vehicles"], doctor["warnings"]) == ({}, [])
+        assert promote(primary, CONFIG)["vehicles"] == []
+        # full redelivery rebuilds the fleet as if the fault never happened
+        assert _digests(_serve_primary(EVENTS, primary)) == reference
+
+    def test_frames_without_a_snapshot_are_refused(self, tmp_path):
+        primary = tmp_path / "primary"
+        _serve_primary(EVENTS[:6], primary, close=False)
+        vdir = next(
+            vdir for _key, vdir in session_dirs(primary)
+            if WriteAheadLog(vdir / "wal.jsonl").last_seq()
+        )
+        for name in ("snapshot.json", "snapshot.json.delta"):
+            with contextlib.suppress(FileNotFoundError):
+                (vdir / name).unlink()
+        with pytest.raises(WalCorruptionError, match="RNG stream"):
+            AdvisorService(primary, CONFIG)
+        doctor = fleet_doctor(primary)
+        assert any("RNG stream" in line for line in doctor["problems"])
+
+    def test_a_snapshot_in_another_vehicles_directory_is_refused(self, tmp_path):
+        primary = tmp_path / "primary"
+        _serve_primary(EVENTS, primary)
+        first, second = [vdir for _key, vdir in session_dirs(primary)][:2]
+        (second / "snapshot.json").write_bytes((first / "snapshot.json").read_bytes())
+        with pytest.raises(WalCorruptionError, match="misplaced"):
+            AdvisorService(primary, CONFIG)
+        with pytest.raises(WalCorruptionError, match="misplaced"):
+            promote(primary, CONFIG)
+        doctor = fleet_doctor(primary)
+        assert any("misplaced" in line for line in doctor["problems"])
 
 
 # -- remote shipping over the JSONL socket channel --------------------------
@@ -268,7 +330,7 @@ class TestRemoteShipping:
     def test_remote_standby_promotes_bit_identically(self, tmp_path, reference):
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
-        _serve_registered(EVENTS, primary, close=False)
+        _serve_primary(EVENTS, primary, close=False)
         sock = str(tmp_path / "replica.sock")
         with _replica_server(standby, sock):
             target = RemoteReplicaTarget(f"unix:{sock}")
@@ -283,7 +345,7 @@ class TestRemoteShipping:
     ):
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
-        _serve_registered(EVENTS, primary, close=False)
+        _serve_primary(EVENTS, primary, close=False)
         sock = str(tmp_path / "replica.sock")
         # ordinals are global over net ops: drop the very first connect
         # and a mid-stream send — both passes must re-ship idempotently.
@@ -304,7 +366,7 @@ class TestRemoteShipping:
 
     def test_a_dead_channel_becomes_a_replication_error(self, tmp_path):
         primary = tmp_path / "primary"
-        _serve_registered(EVENTS[:6], primary, close=False)
+        _serve_primary(EVENTS[:6], primary, close=False)
         # a regular file where a socket should be: ECONNREFUSED per try
         (tmp_path / "nobody.sock").touch()
         target = RemoteReplicaTarget(f"unix:{tmp_path / 'nobody.sock'}")
@@ -322,7 +384,7 @@ class TestBackupRestore:
         primary = tmp_path / "primary"
         archive = tmp_path / "archive"
         restored = tmp_path / "restored"
-        _serve_registered(EVENTS, primary, close=False)
+        _serve_primary(EVENTS, primary, close=False)
         manifest = backup(primary, archive)
         assert manifest["files"] and manifest["vehicles"]
         report = restore(archive, restored)
@@ -337,7 +399,7 @@ class TestBackupRestore:
     def test_backup_refuses_to_overwrite_an_archive(self, tmp_path):
         primary = tmp_path / "primary"
         archive = tmp_path / "archive"
-        _serve_registered(EVENTS[:6], primary)
+        _serve_primary(EVENTS[:6], primary)
         backup(primary, archive)
         with pytest.raises(ReplicationError, match="already holds"):
             backup(primary, archive)
@@ -345,7 +407,7 @@ class TestBackupRestore:
     def test_restore_refuses_a_nonempty_target(self, tmp_path):
         primary = tmp_path / "primary"
         archive = tmp_path / "archive"
-        _serve_registered(EVENTS[:6], primary)
+        _serve_primary(EVENTS[:6], primary)
         backup(primary, archive)
         with pytest.raises(ReplicationError, match="refusing to restore"):
             restore(archive, primary)
@@ -353,7 +415,7 @@ class TestBackupRestore:
     def test_a_corrupt_archive_is_refused_and_diagnosed(self, tmp_path):
         primary = tmp_path / "primary"
         archive = tmp_path / "archive"
-        _serve_registered(EVENTS[:6], primary, close=False)
+        _serve_primary(EVENTS[:6], primary, close=False)
         backup(primary, archive)
         victim = next(
             path
@@ -385,13 +447,13 @@ class TestBackupRestore:
         primary = tmp_path / "primary"
         archive = tmp_path / "archive"
         restored = tmp_path / "restored"
-        _serve_registered(events, primary, config=config, close=False)
+        _serve_primary(events, primary, config=config, close=False)
         backup(primary, archive)
         report = restore(archive, restored, upto_seq=upto)
         assert sum(report["truncated"].values()) == len(events) - upto
         promoted = promote(restored, config)
         shorter = _digests(
-            _serve_registered(events[:upto], tmp_path / "short", config=config)
+            _serve_primary(events[:upto], tmp_path / "short", config=config)
         )
         assert promoted["digests"] == shorter
 
@@ -407,7 +469,7 @@ class TestBackupRestore:
         primary = tmp_path / "primary"
         archive = tmp_path / "archive"
         restored = tmp_path / "restored"
-        _serve_registered(events, primary, close=False, chunk=chunk)
+        _serve_primary(events, primary, close=False, chunk=chunk)
         backup(primary, archive)
         try:
             restore(archive, restored, upto_seq=upto)
@@ -419,7 +481,7 @@ class TestBackupRestore:
             assert (upto, chunk) != (11, 1)
             return
         promoted = promote(restored, CONFIG)
-        shorter = _digests(_serve_registered(events[:upto], tmp_path / "short"))
+        shorter = _digests(_serve_primary(events[:upto], tmp_path / "short"))
         assert promoted["digests"] == shorter
 
     def test_pitr_refuses_history_already_compacted_away(self, tmp_path):
@@ -428,7 +490,7 @@ class TestBackupRestore:
         events = build_fleet_events(vehicles=1, stops_per_vehicle=12, seed=3)
         primary = tmp_path / "primary"
         archive = tmp_path / "archive"
-        _serve_registered(events, primary, close=False)
+        _serve_primary(events, primary, close=False)
         backup(primary, archive)
         with pytest.raises(ReplicationError, match="compact"):
             restore(archive, tmp_path / "restored", upto_seq=2)
@@ -442,9 +504,9 @@ class TestDoctorAndReadiness:
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
         cut = len(EVENTS) // 2
-        _serve_registered(EVENTS[:cut], primary, close=False)
+        _serve_primary(EVENTS[:cut], primary, close=False)
         sync_once(primary, LocalReplicaTarget(standby))
-        _serve_registered(EVENTS, primary, close=False)  # standby now lags
+        _serve_primary(EVENTS, primary, close=False)  # standby now lags
 
         lagging = fleet_doctor(primary, replica_dir=standby)
         assert lagging["ok"]  # lag without a bound is a report, not a problem
@@ -463,9 +525,9 @@ class TestDoctorAndReadiness:
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
         cut = len(EVENTS) // 2
-        _serve_registered(EVENTS[:cut], primary, close=False)
+        _serve_primary(EVENTS[:cut], primary, close=False)
         sync_once(primary, LocalReplicaTarget(standby))
-        _serve_registered(EVENTS, standby)  # standby ran AHEAD: wrong pairing
+        _serve_primary(EVENTS, standby)  # standby ran AHEAD: wrong pairing
         report = fleet_doctor(primary, replica_dir=standby)
         assert not report["ok"]
         assert any("replica-ahead" in line for line in report["problems"])
@@ -473,7 +535,7 @@ class TestDoctorAndReadiness:
     def test_readiness_gates_on_replication_lag(self, tmp_path):
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
-        _serve_registered(EVENTS, primary, close=False)
+        _serve_primary(EVENTS, primary, close=False)
         monitor = ReplicationMonitor(primary, standby, max_lag=0)
         service = AdvisorService(primary, CONFIG, replication=monitor)
         try:
@@ -493,7 +555,7 @@ class TestDoctorAndReadiness:
     def test_corrupt_watermarks_fail_closed(self, tmp_path):
         primary = tmp_path / "primary"
         standby = tmp_path / "standby"
-        _serve_registered(EVENTS[:6], primary, close=False)
+        _serve_primary(EVENTS[:6], primary, close=False)
         sync_once(primary, LocalReplicaTarget(standby))
         (standby / "replica.watermarks.json").write_text("garbage not a frame\n")
         monitor = ReplicationMonitor(primary, standby, max_lag=10**6)
@@ -515,7 +577,7 @@ class TestDoctorAndReadiness:
 def _build_archive(tmp_path):
     primary = tmp_path / "primary"
     events = build_fleet_events(vehicles=2, stops_per_vehicle=6, seed=5)
-    _serve_registered(events, primary, close=False)
+    _serve_primary(events, primary, close=False)
     archive = tmp_path / "archive"
     backup(primary, archive)
     reference = promote(tmp_path / "primary", CONFIG)["digests"]
@@ -597,7 +659,7 @@ class TestCrashDuringRecoveryOps:
 class TestSweepStateDir:
     def test_sweep_removes_dead_tmp_and_stale_deltas_only(self, tmp_path):
         primary = tmp_path / "primary"
-        _serve_registered(EVENTS[:6], primary, close=False)
+        _serve_primary(EVENTS[:6], primary, close=False)
         vdir = next(iter((primary / "vehicles").iterdir()))
         dead_tmp = vdir / "snapshot.json.tmp999999999"
         dead_tmp.write_text("abandoned by a dead writer")
@@ -621,7 +683,7 @@ class TestSweepStateDir:
         from repro import cli
 
         primary = tmp_path / "primary"
-        _serve_registered(EVENTS[:6], primary, close=False)
+        _serve_primary(EVENTS[:6], primary, close=False)
         vdir = next(iter((primary / "vehicles").iterdir()))
         (vdir / "wal.jsonl.tmp999999999").write_text("orphan")
         code = cli.main(["cache", "doctor", "--state-dir", str(primary)])
@@ -644,9 +706,9 @@ class TestCliRoundTrip:
         standby = tmp_path / "standby"
         archive = tmp_path / "archive"
         restored = tmp_path / "restored"
-        _serve_registered(EVENTS, primary, config=config, close=False)
+        _serve_primary(EVENTS, primary, config=config, close=False)
         reference = _digests(
-            _serve_registered(EVENTS, tmp_path / "ref", config=config)
+            _serve_primary(EVENTS, tmp_path / "ref", config=config)
         )
 
         assert cli.main([
@@ -686,6 +748,38 @@ class TestCliRoundTrip:
         captured = capsys.readouterr()
         assert "backup-corrupt" in captured.out
 
+    def test_promote_takes_the_session_flags_serve_took(self, tmp_path, capsys):
+        from repro import cli
+
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(json.dumps(event) + "\n" for event in EVENTS))
+        plain = ["--break-even", "28", "--snapshot-every", "5", "--seed", "99"]
+        flags = plain + ["--predictor", "contextual"]
+        primary = tmp_path / "primary"
+        health = tmp_path / "health.json"
+        assert cli.main([
+            "serve", str(events), "--state-dir", str(primary), "--shards", "2",
+            "--health", str(health), *flags,
+        ]) == 0
+        served = json.loads(health.read_text())["vehicles"]
+        assert len(served) == 3
+        durable = sorted(
+            path for path in primary.rglob("*")
+            if path.name in ("snapshot.json", "wal.jsonl")
+        )
+        before = {path: path.read_bytes() for path in durable}
+
+        # a plain config over learning-augmented state is refused before
+        # any session is compacted: nothing on disk changes
+        assert cli.main(["promote", str(primary), *plain]) == 1
+        assert "augmented" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in durable} == before
+
+        assert cli.main(["promote", str(primary), *flags]) == 0
+        out = capsys.readouterr().out
+        for vehicle, info in served.items():
+            assert f"  {vehicle}  {info['digest']}" in out
+
     def test_replicate_argument_validation(self, tmp_path, capsys):
         from repro import cli
 
@@ -717,7 +811,7 @@ class TestKillPrimaryChaosPin:
             dedup_window=64,
             seed=3,
         )
-        clean = run_stream(events, tmp_path / "clean", config, register=True)
+        clean = run_stream(events, tmp_path / "clean", config)
         result = run_cell(CELLS["primary-kill"], events, tmp_path / "chaos", config)
         # The cell already raises on backup/restore divergence;
         # the promoted-standby parity against a never-failed run is ours.
@@ -734,7 +828,7 @@ class TestKillPrimaryChaosPin:
 class TestDurableSummary:
     def test_summary_is_stable_across_processless_reads(self, tmp_path):
         primary = tmp_path / "primary"
-        _serve_registered(EVENTS[:6], primary, close=False)
+        _serve_primary(EVENTS[:6], primary, close=False)
         for _key, vdir in session_dirs(primary):
             first = durable_summary(vdir)
             second = durable_summary(vdir)

@@ -374,7 +374,7 @@ def test_tier_shed_counts_per_shard_with_offer_warn_cadence(tmp_path):
     service.close()
 
 
-# -- process-mode fleet: smoke, registry recovery, chaos ------------------
+# -- process-mode fleet: smoke, warm recovery, chaos ----------------------
 
 
 def _single_reference(tmp, lines):
@@ -391,7 +391,7 @@ def _single_reference(tmp, lines):
 
 def test_process_mode_matches_single_and_recovers_warm(tmp_path):
     """Real workers: decisions/digests == single process; a cold restart
-    with no traffic warm-recovers every session from vehicles.idx."""
+    with no traffic warm-recovers every session from its base snapshot."""
     events = build_fleet_events(vehicles=5, stops_per_vehicle=12, seed=21)
     lines = [json.dumps(event) for event in events]
     decisions_single, digests_single, cost_single = _single_reference(
@@ -413,15 +413,15 @@ def test_process_mode_matches_single_and_recovers_warm(tmp_path):
     # Locks are released by the graceful close.
     assert not list((tmp_path / "fleet").rglob(SHARD_LOCK_NAME))
 
-    # Cold restart, zero traffic: the per-shard vehicle registry must
-    # warm-recover every session so digests come back bit-identical.
+    # Cold restart, zero traffic: each shard must open every session
+    # directory it holds so digests come back bit-identical.
     service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=2, fsync=True)
     try:
         assert service.digests(timeout=120.0) == digests_single
     finally:
         service.close()
 
-    # Both transports leave the same per-shard files, vehicles.idx included.
+    # Both transports leave the same per-shard files, and no registry.
     threads = ShardedAdvisorService(
         tmp_path / "threads", CONFIG, shards=2, fsync=True, workers=False
     )
@@ -430,7 +430,7 @@ def test_process_mode_matches_single_and_recovers_warm(tmp_path):
     finally:
         threads.close()
     assert _layout(tmp_path / "threads") == _layout(tmp_path / "fleet")
-    assert len(list((tmp_path / "fleet").glob("shard-*/vehicles.idx"))) == 2
+    assert not list((tmp_path / "fleet").rglob("vehicles.idx"))
 
 
 def _layout(root):
@@ -438,8 +438,8 @@ def _layout(root):
 
 
 def test_in_process_tier_recovers_warm(tmp_path):
-    """A reopened in-process tier warm-recovers every session from its
-    per-shard vehicles.idx, with no traffic redelivered."""
+    """A reopened in-process tier warm-recovers every session from the
+    base snapshots in its shards, with no traffic redelivered."""
     events = build_fleet_events(vehicles=3, stops_per_vehicle=8, seed=23)
     lines = [json.dumps(event) for event in events]
     _, digests_single, _cost = _single_reference(tmp_path, lines)
@@ -453,8 +453,7 @@ def test_in_process_tier_recovers_warm(tmp_path):
         service.close()
     assert before == digests_single
     assert len(before) == 3
-    for shard in range(3):
-        assert (tmp_path / "fleet" / f"shard-{shard:02d}" / "vehicles.idx").exists()
+    assert not list((tmp_path / "fleet").rglob("vehicles.idx"))
 
     service = ShardedAdvisorService(tmp_path / "fleet", CONFIG, shards=3, workers=False)
     try:
